@@ -382,24 +382,30 @@ void* FinishAlloc(uintptr_t addr) {
   return reinterpret_cast<void*>(addr);
 }
 
+// C17 7.22.3: malloc's result must be aligned for any object that fits
+// the request. The size classes from 17 to 128 B step by 8, so every
+// other one (24, 40, ..., 120) is only 8-byte aligned; rounding those
+// requests to a multiple of 16 keeps malloc on the 16-byte classes. Class
+// sizes above 128 B are multiples of 16 already.
+size_t C17Size(size_t size) {
+  return size > 16 && size <= 128 ? (size + 15) & ~size_t{15} : size;
+}
+
+void* BootstrapMalloc(size_t size) {
+  void* p = BootstrapAlloc(size, kBootstrapHeader);
+  if (p == nullptr) errno = ENOMEM;
+  return p;
+}
+
 }  // namespace
 
 void* ShimMalloc(size_t size) {
   if (size == 0) size = 1;
-  if (t_busy) {
-    void* p = BootstrapAlloc(size, kBootstrapHeader);
-    if (p == nullptr) errno = ENOMEM;
-    return p;
-  }
-  RealThreadsAllocator* alloc = GetAllocator();
-  if (alloc == nullptr) {
-    void* p = BootstrapAlloc(size, kBootstrapHeader);
-    if (p == nullptr) errno = ENOMEM;
-    return p;
-  }
+  RealThreadsAllocator* alloc = t_busy ? nullptr : GetAllocator();
+  if (alloc == nullptr) return BootstrapMalloc(size);
   RealThreadCache* tc = GetCache(alloc);
   BusyScope busy;
-  return FinishAlloc(alloc->Allocate(tc, size));
+  return FinishAlloc(alloc->Allocate(tc, C17Size(size)));
 }
 
 void ShimFree(void* ptr) {
@@ -421,9 +427,24 @@ void* ShimCalloc(size_t n, size_t size) {
     errno = ENOMEM;
     return nullptr;
   }
-  void* p = ShimMalloc(bytes == 0 ? 1 : bytes);
-  if (p != nullptr) memset(p, 0, bytes);
-  return p;
+  if (bytes == 0) bytes = 1;
+  RealThreadsAllocator* alloc = t_busy ? nullptr : GetAllocator();
+  if (alloc == nullptr) {
+    void* p = BootstrapMalloc(bytes);
+    if (p != nullptr) memset(p, 0, bytes);
+    return p;
+  }
+  RealThreadCache* tc = GetCache(alloc);
+  BusyScope busy;
+  // The allocator knows when a large range still reads as zeros (fresh
+  // from the frontier, or released whole and untouched since); only then
+  // is the memset skipped.
+  bool known_zero = false;
+  uintptr_t addr = alloc->AllocateForCalloc(tc, C17Size(bytes), &known_zero);
+  if (addr != 0 && !known_zero) {
+    memset(reinterpret_cast<void*>(addr), 0, bytes);
+  }
+  return FinishAlloc(addr);
 }
 
 void* ShimRealloc(void* ptr, size_t size) {
@@ -431,6 +452,15 @@ void* ShimRealloc(void* ptr, size_t size) {
   if (size == 0) {
     ShimFree(ptr);
     return nullptr;
+  }
+  size = C17Size(size);
+  uintptr_t addr = reinterpret_cast<uintptr_t>(ptr);
+  if (!IsBootstrap(ptr) && ShimIsActive() && g_alloc->Owns(addr)) {
+    // A large block grows into free pages behind it, or gives back its
+    // tail, without moving.
+    RealThreadCache* tc = GetCache(g_alloc);
+    BusyScope busy;
+    if (g_alloc->ResizeLargeInPlace(tc, addr, size)) return ptr;
   }
   size_t old_usable = ShimUsableSize(ptr);
   // In place when it still fits and is not a pathological shrink (keep at
@@ -563,6 +593,7 @@ size_t ShimStatsJson(char* buf, size_t cap) {
       "\"live_bytes\":%.0f,\"footprint_bytes\":%zu,"
       "\"released_bytes\":%.0f,\"recommitted_bytes\":%.0f,"
       "\"reserved_bytes\":%.0f,\"large_pending_bytes\":%.0f,"
+      "\"large_free_ranges\":%.0f,"
       "\"threads\":%d,\"bootstrap_bytes\":%zu}",
       ShimBackendName(), metric("allocator", "allocations"),
       metric("allocator", "frees"), metric("allocator", "live_bytes"),
@@ -570,6 +601,7 @@ size_t ShimStatsJson(char* buf, size_t cap) {
       metric("system", "recommitted_bytes"),
       metric("system", "reserved_bytes"),
       metric("allocator", "large_pending_bytes"),
+      metric("allocator", "large_free_ranges"),
       g_alloc->registered_threads(), boot_bytes);
   return n < 0 ? 0
                : (static_cast<size_t>(n) < cap ? static_cast<size_t>(n)

@@ -179,6 +179,11 @@ void RealMemoryBacking::Commit(uintptr_t addr, size_t bytes) {
   stats_.recommitted_bytes += released_.Remove(addr, bytes);
 }
 
+void RealMemoryBacking::Forget(uintptr_t addr, size_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  released_.Remove(addr, bytes);
+}
+
 uintptr_t RealMemoryBacking::MapMetadata(size_t bytes) {
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);

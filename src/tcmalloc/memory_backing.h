@@ -136,6 +136,12 @@ class RealMemoryBacking final : public MemoryBacking {
   size_t Release(uintptr_t addr, size_t bytes) override;
   void Commit(uintptr_t addr, size_t bytes) override;
 
+  // Drops the released marks on [addr, addr+bytes) without counting a
+  // recommit: the range leaves its owner's books still released (the
+  // real-threads allocator hands released ranges back to its bump
+  // frontier), so whoever carves it next starts from clean bookkeeping.
+  void Forget(uintptr_t addr, size_t bytes);
+
   // Plain anonymous RW mapping for allocator metadata (page directory,
   // bootstrap spill) that must not come from the object heap. Returns 0 on
   // failure. Unmap with UnmapMetadata.

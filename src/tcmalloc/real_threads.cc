@@ -95,11 +95,18 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
     arena_base_ = backing_->base();
     arena_end_ = backing_->end();
     dir_entries_ = backing_->reserved_bytes() >> kPageShift;
+    // Range lengths must fit the directory's page field, and page indices
+    // the free-list links.
+    WSC_CHECK_LE(dir_entries_, size_t{kDirPagesMask});
     dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
         RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(uint32_t)));
     WSC_CHECK(dir_ != nullptr);
-    static_assert(sizeof(LargeRange) <= kPageSize,
-                  "large-range header must fit in its own first page");
+    free_links_ = reinterpret_cast<FreeLink*>(
+        RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(FreeLink)));
+    WSC_CHECK(free_links_ != nullptr);
+    for (auto& heads : free_heads_) {
+      std::fill(std::begin(heads), std::end(heads), kNoPage);
+    }
     // The object's first word doubles as the freelist link, so every
     // class must hold one.
     WSC_CHECK_GE(size_classes_->class_size(0), sizeof(uintptr_t));
@@ -114,6 +121,9 @@ RealThreadsAllocator::~RealThreadsAllocator() {
   if (dir_ != nullptr) {
     RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(dir_),
                                      dir_entries_ * sizeof(uint32_t));
+    RealMemoryBacking::UnmapMetadata(
+        reinterpret_cast<uintptr_t>(free_links_),
+        dir_entries_ * sizeof(FreeLink));
   }
 }
 
@@ -308,11 +318,14 @@ bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
   uintptr_t base;
   if (real_) {
     // CAS loop instead of fetch_add so a failed carve does not advance
-    // the bump pointer past the reservation.
+    // the bump pointer past the reservation. Acquire pairs with the
+    // release in AddFreeLocked: memory handed back to the frontier is
+    // carved only after its old owner's last writes.
     base = arena_next_.load(std::memory_order_relaxed);
     do {
       if (base + span_bytes > arena_end_) return false;
     } while (!arena_next_.compare_exchange_weak(base, base + span_bytes,
+                                                std::memory_order_acquire,
                                                 std::memory_order_relaxed));
     // Publish the size class for every page of the span before the
     // objects escape via the shard lock, so FreeAddr/UsableSize on any
@@ -365,7 +378,7 @@ void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr,
     // have carved more pages than the request implies.
     uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
     WSC_CHECK(entry & kDirLargeFlag);
-    FreeLargeReal(tc, addr, entry & ~kDirLargeFlag);
+    FreeLargeReal(tc, addr, entry & kDirPagesMask);
     return;
   }
   (void)addr;
@@ -378,67 +391,35 @@ void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr,
 }
 
 uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
-                                                  size_t size, size_t align) {
+                                                  size_t size, size_t align,
+                                                  bool* known_zero) {
   WSC_DCHECK((align & (align - 1)) == 0 && align >= kPageSize);
+  // Bigger than the whole reservation: fail before the page arithmetic
+  // can overflow.
+  if (size > arena_end_ - arena_base_) return 0;
   size_t pages = static_cast<size_t>(BytesToLengthCeil(size));
   size_t bytes = pages << kPageShift;
-  uintptr_t addr = 0;
+  // Resident ranges first: reusing them adds nothing to the resident set
+  // (and a calloc's memset of resident memory is cheaper than faulting
+  // released pages back in).
+  bool released = false;
+  uintptr_t addr;
   {
     std::lock_guard<std::mutex> guard(large_mu_);
-    // First fit over pending ranges, reused from the front; tails become
-    // new pending ranges (never coalesced, so range starts keep their
-    // identity — the invariant the page directory's "interior pages stay
-    // 0" encoding relies on). Range starts are page-aligned, so any range
-    // satisfies align == kPageSize; bigger alignments must line up.
-    uintptr_t* prev = &large_free_head_;
-    for (uintptr_t cur = large_free_head_; cur != 0;) {
-      LargeRange* range = reinterpret_cast<LargeRange*>(cur);
-      if (range->pages >= pages && (cur & (align - 1)) == 0) {
-        uintptr_t next = range->next;
-        bool released = range->released;
-        if (range->pages > pages) {
-          uintptr_t tail = cur + bytes;
-          if (released) {
-            // The tail's new header page was madvised away; re-commit it
-            // (bookkeeping only — the write below refaults it).
-            backing_->Commit(tail, kPageSize);
-          }
-          LargeRange* tail_range = reinterpret_cast<LargeRange*>(tail);
-          tail_range->next = next;
-          tail_range->pages = range->pages - pages;
-          tail_range->released = released;
-          *prev = tail;
-        } else {
-          *prev = next;
-        }
-        large_free_pages_.fetch_sub(pages, std::memory_order_relaxed);
-        if (released) {
-          backing_->Commit(cur, bytes);
-        } else {
-          large_unreleased_pages_.fetch_sub(pages,
-                                            std::memory_order_relaxed);
-        }
-        addr = cur;
-        break;
-      }
-      prev = &range->next;
-      cur = range->next;
+    addr = TakeFreeLocked(pages, align, /*released=*/false);
+    if (addr == 0) {
+      released = true;
+      addr = TakeFreeLocked(pages, align, /*released=*/true);
     }
+    if (addr == 0) {
+      // The frontier holds only untouched memory: still "released".
+      addr = CarveLargeLocked(pages, align);
+      if (addr == 0) return 0;
+    }
+    dir_entry(addr).store(kDirLargeFlag | static_cast<uint32_t>(pages),
+                          std::memory_order_relaxed);
   }
-  if (addr == 0) {
-    // Bump-carve, aligning up. The skipped gap is never touched, so it
-    // costs address space, not resident memory.
-    uintptr_t base = arena_next_.load(std::memory_order_relaxed);
-    uintptr_t aligned;
-    do {
-      aligned = (base + (align - 1)) & ~(align - 1);
-      if (aligned + bytes > arena_end_) return 0;
-    } while (!arena_next_.compare_exchange_weak(base, aligned + bytes,
-                                                std::memory_order_relaxed));
-    addr = aligned;
-  }
-  dir_entry(addr).store(kDirLargeFlag | static_cast<uint32_t>(pages),
-                        std::memory_order_relaxed);
+  if (known_zero != nullptr) *known_zero = released;
   ++tc->allocations;
   ++tc->large_allocations;
   large_live_bytes_.fetch_add(static_cast<int64_t>(bytes),
@@ -451,7 +432,6 @@ uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
 void RealThreadsAllocator::FreeLargeReal(RealThreadCache* tc, uintptr_t addr,
                                          size_t pages) {
   size_t bytes = pages << kPageShift;
-  dir_entry(addr).store(0, std::memory_order_relaxed);
   ++tc->frees;
   ++tc->large_frees;
   large_live_bytes_.fetch_sub(static_cast<int64_t>(bytes),
@@ -459,36 +439,242 @@ void RealThreadsAllocator::FreeLargeReal(RealThreadCache* tc, uintptr_t addr,
   tc->live_bytes -= static_cast<int64_t>(bytes);
 
   std::lock_guard<std::mutex> guard(large_mu_);
-  LargeRange* range = reinterpret_cast<LargeRange*>(addr);
-  range->next = large_free_head_;
-  range->pages = pages;
-  range->released = false;
-  large_free_head_ = addr;
-  large_free_pages_.fetch_add(pages, std::memory_order_relaxed);
+  dir_entry(addr).store(0, std::memory_order_relaxed);
+  AddFreeLocked(PageOf(addr), pages, /*released=*/false);
   size_t unreleased =
-      large_unreleased_pages_.fetch_add(pages, std::memory_order_relaxed) +
-      pages;
+      large_unreleased_pages_.load(std::memory_order_relaxed) << kPageShift;
   if (large_release_threshold_bytes_ > 0 &&
-      (unreleased << kPageShift) > large_release_threshold_bytes_) {
-    ReleasePendingLocked((unreleased << kPageShift) -
-                         large_release_threshold_bytes_ / 2);
+      unreleased > large_release_threshold_bytes_) {
+    ReleasePendingLocked(unreleased - large_release_threshold_bytes_ / 2);
   }
+}
+
+int RealThreadsAllocator::FreeBin(size_t pages) {
+  if (pages <= kExactBins) return static_cast<int>(pages) - 1;
+  int lg = 63 - __builtin_clzll(pages);  // >= 8
+  int sub = static_cast<int>(pages >> (lg - 2)) & 3;
+  return kExactBins + (lg - 8) * 4 + sub;
+}
+
+int RealThreadsAllocator::NextBinLocked(bool released, int from) const {
+  if (from >= kNumBins) return -1;
+  int word = from / 64;
+  uint64_t bits =
+      free_nonempty_[released][word] & (~uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word == kBinWords) return -1;
+    bits = free_nonempty_[released][word];
+  }
+  return word * 64 + __builtin_ctzll(bits);
+}
+
+int RealThreadsAllocator::LastBinLocked(bool released) const {
+  for (int word = kBinWords - 1; word >= 0; --word) {
+    uint64_t bits = free_nonempty_[released][word];
+    if (bits != 0) return word * 64 + 63 - __builtin_clzll(bits);
+  }
+  return -1;
+}
+
+void RealThreadsAllocator::InsertFreeLocked(size_t page, size_t pages,
+                                            bool released) {
+  uint32_t tag = kDirFreeFlag | (released ? kDirReleasedFlag : 0) |
+                 static_cast<uint32_t>(pages);
+  dir_[page].store(tag, std::memory_order_relaxed);
+  dir_[page + pages - 1].store(tag, std::memory_order_relaxed);
+  int bin = FreeBin(pages);
+  uint32_t& head = free_heads_[released][bin];
+  free_links_[page] = FreeLink{kNoPage, head};
+  if (head != kNoPage) free_links_[head].prev = static_cast<uint32_t>(page);
+  head = static_cast<uint32_t>(page);
+  free_nonempty_[released][bin / 64] |= uint64_t{1} << (bin % 64);
+  large_free_pages_.fetch_add(pages, std::memory_order_relaxed);
+  if (!released) {
+    large_unreleased_pages_.fetch_add(pages, std::memory_order_relaxed);
+  }
+  large_free_ranges_.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t RealThreadsAllocator::RemoveFreeLocked(size_t page) {
+  uint32_t tag = dir_[page].load(std::memory_order_relaxed);
+  WSC_DCHECK(tag & kDirFreeFlag);
+  size_t pages = tag & kDirPagesMask;
+  bool released = (tag & kDirReleasedFlag) != 0;
+  dir_[page].store(0, std::memory_order_relaxed);
+  dir_[page + pages - 1].store(0, std::memory_order_relaxed);
+  int bin = FreeBin(pages);
+  FreeLink link = free_links_[page];
+  if (link.prev != kNoPage) {
+    free_links_[link.prev].next = link.next;
+  } else {
+    free_heads_[released][bin] = link.next;
+    if (link.next == kNoPage) {
+      free_nonempty_[released][bin / 64] &= ~(uint64_t{1} << (bin % 64));
+    }
+  }
+  if (link.next != kNoPage) free_links_[link.next].prev = link.prev;
+  large_free_pages_.fetch_sub(pages, std::memory_order_relaxed);
+  if (!released) {
+    large_unreleased_pages_.fetch_sub(pages, std::memory_order_relaxed);
+  }
+  large_free_ranges_.fetch_sub(1, std::memory_order_relaxed);
+  return pages;
+}
+
+void RealThreadsAllocator::AddFreeLocked(size_t page, size_t pages,
+                                         bool released) {
+  // A neighbour merges only in the same state, so every free range stays
+  // wholly resident or wholly released. Live-range and small-span entries
+  // never match: their flag bits differ.
+  const uint32_t state = kDirFreeFlag | (released ? kDirReleasedFlag : 0);
+  if (page > 0) {
+    uint32_t left = dir_[page - 1].load(std::memory_order_relaxed);
+    if ((left & ~kDirPagesMask) == state) {
+      size_t left_pages = left & kDirPagesMask;
+      page -= left_pages;
+      pages += RemoveFreeLocked(page);
+      large_coalesces_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (page + pages < dir_entries_) {
+    uint32_t right = dir_[page + pages].load(std::memory_order_relaxed);
+    if ((right & ~kDirPagesMask) == state) {
+      pages += RemoveFreeLocked(page + pages);
+      large_coalesces_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (released) {
+    // A released run that ends at the bump frontier goes back to it. Only
+    // released runs do, so the frontier never holds memory that was
+    // written: fresh carves stay known-zero and uncounted in the resident
+    // pages. Release pairs with the carves' acquire. If another thread
+    // has moved the frontier, the run stays a free range.
+    uintptr_t end = PageAddr(page + pages);
+    if (arena_next_.compare_exchange_strong(end, PageAddr(page),
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+      backing_->Forget(PageAddr(page), pages << kPageShift);
+      return;
+    }
+  }
+  InsertFreeLocked(page, pages, released);
+}
+
+size_t RealThreadsAllocator::FindFreeLocked(size_t pages, size_t align,
+                                            bool released) const {
+  const size_t bytes = pages << kPageShift;
+  const int own = FreeBin(pages);
+  for (int bin = NextBinLocked(released, own); bin >= 0;
+       bin = NextBinLocked(released, bin + 1)) {
+    // Best fit by bin: an exact bin holds one length, and every range in
+    // a higher bin is longer than any in the request's own bin, so there
+    // the first fit will do. Only the request's own log bin is scanned
+    // for the tightest fit.
+    const bool first_fit = bin != own || bin < kExactBins;
+    size_t best = kNoPage;
+    size_t best_pages = 0;
+    for (uint32_t p = free_heads_[released][bin]; p != kNoPage;
+         p = free_links_[p].next) {
+      size_t len = dir_[p].load(std::memory_order_relaxed) & kDirPagesMask;
+      uintptr_t start = PageAddr(p);
+      uintptr_t addr = (start + align - 1) & ~(align - 1);
+      if (addr < start || addr + bytes > start + (len << kPageShift)) {
+        continue;
+      }
+      if (first_fit) return p;
+      if (best == kNoPage || len < best_pages) {
+        best = p;
+        best_pages = len;
+      }
+    }
+    if (best != kNoPage) return best;
+  }
+  return kNoPage;
+}
+
+uintptr_t RealThreadsAllocator::TakeFreeLocked(size_t pages, size_t align,
+                                               bool released) {
+  size_t page = FindFreeLocked(pages, align, released);
+  if (page == kNoPage) return 0;
+  size_t len = RemoveFreeLocked(page);
+  uintptr_t start = PageAddr(page);
+  uintptr_t addr = (start + align - 1) & ~(align - 1);
+  size_t head = (addr - start) >> kPageShift;
+  // The range had no free neighbour in its state and the allocation now
+  // sits between the leftovers, so they are filed without merging.
+  if (head > 0) InsertFreeLocked(page, head, released);
+  if (len > head + pages) {
+    InsertFreeLocked(page + head + pages, len - head - pages, released);
+  }
+  if (released) backing_->Commit(addr, pages << kPageShift);
+  return addr;
+}
+
+uintptr_t RealThreadsAllocator::CarveLargeLocked(size_t pages,
+                                                 size_t align) {
+  const size_t bytes = pages << kPageShift;
+  uintptr_t base = arena_next_.load(std::memory_order_relaxed);
+  uintptr_t addr;
+  do {
+    addr = (base + (align - 1)) & ~(align - 1);
+    if (addr < base || addr > arena_end_ || arena_end_ - addr < bytes) {
+      return 0;
+    }
+  } while (!arena_next_.compare_exchange_weak(base, addr + bytes,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed));
+  if (addr > base) {
+    // Marked released in the backing too, like every other released
+    // range, so a later release that widens over it confirms nothing
+    // for it.
+    backing_->Release(base, addr - base);
+    AddFreeLocked(PageOf(base), (addr - base) >> kPageShift,
+                  /*released=*/true);
+  }
+  return addr;
 }
 
 size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
   size_t confirmed = 0;
-  for (uintptr_t cur = large_free_head_; cur != 0 && confirmed < want_bytes;) {
-    LargeRange* range = reinterpret_cast<LargeRange*>(cur);
-    if (!range->released && range->pages > 1) {
-      // Keep the header page resident — it holds the list node — and
-      // return the tail to the OS.
-      confirmed += backing_->Release(cur + kPageSize,
-                                     (range->pages - 1) << kPageShift);
-      range->released = true;
-      large_unreleased_pages_.fetch_sub(range->pages,
-                                        std::memory_order_relaxed);
+  while (confirmed < want_bytes) {
+    // Largest first: the fewest madvise calls per byte.
+    int bin = LastBinLocked(/*released=*/false);
+    if (bin < 0) break;
+    size_t page = free_heads_[0][bin];
+    size_t pages = RemoveFreeLocked(page);
+    // The whole range, first page included: no freed byte holds
+    // metadata, so nothing refaults it until it is allocated again. The
+    // madvise widens over released free neighbours to hugepage
+    // boundaries: a zap that covers a whole 2 MiB extent also frees its
+    // page table, so the next touch there faults one hugepage back in
+    // instead of 512 small pages. The neighbours are released already,
+    // so the backing confirms only this range's bytes.
+    size_t lo = page;
+    size_t hi = page + pages;
+    const uint32_t released = kDirFreeFlag | kDirReleasedFlag;
+    if (page > 0) {
+      uint32_t left = dir_[page - 1].load(std::memory_order_relaxed);
+      if ((left & ~kDirPagesMask) == released) {
+        lo = std::max(page - (left & kDirPagesMask),
+                      page & ~(kPagesPerHugePage - 1));
+      }
     }
-    cur = range->next;
+    if (hi < dir_entries_) {
+      uint32_t right = dir_[hi].load(std::memory_order_relaxed);
+      if ((right & ~kDirPagesMask) == released) {
+        hi = std::min(hi + (right & kDirPagesMask),
+                      (hi + kPagesPerHugePage - 1) & ~(kPagesPerHugePage - 1));
+      }
+    }
+    size_t got = backing_->Release(PageAddr(lo), (hi - lo) << kPageShift);
+    if (got == 0) {
+      // madvise refused: the range stays resident, and the sweep ends
+      // rather than pick it again.
+      InsertFreeLocked(page, pages, /*released=*/false);
+      break;
+    }
+    confirmed += got;
+    AddFreeLocked(page, pages, /*released=*/true);
   }
   return confirmed;
 }
@@ -497,6 +683,103 @@ size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
   if (!real_) return 0;
   std::lock_guard<std::mutex> guard(large_mu_);
   return ReleasePendingLocked(bytes);
+}
+
+std::vector<RealThreadsAllocator::LargeFreeRange>
+RealThreadsAllocator::LargeFreeRanges() {
+  WSC_CHECK(real_);
+  std::vector<LargeFreeRange> ranges;
+  std::lock_guard<std::mutex> guard(large_mu_);
+  for (bool released : {false, true}) {
+    for (int bin = NextBinLocked(released, 0); bin >= 0;
+         bin = NextBinLocked(released, bin + 1)) {
+      for (uint32_t p = free_heads_[released][bin]; p != kNoPage;
+           p = free_links_[p].next) {
+        ranges.push_back(LargeFreeRange{
+            PageAddr(p),
+            dir_[p].load(std::memory_order_relaxed) & kDirPagesMask,
+            released});
+      }
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const LargeFreeRange& a, const LargeFreeRange& b) {
+              return a.addr < b.addr;
+            });
+  return ranges;
+}
+
+uintptr_t RealThreadsAllocator::AllocateForCalloc(RealThreadCache* tc,
+                                                  size_t size,
+                                                  bool* known_zero) {
+  WSC_CHECK(real_);
+  *known_zero = false;
+  int cls = size_classes_->ClassFor(size);
+  if (cls >= 0) return AllocateClass(tc, cls);
+  return AllocateLargeReal(tc, size, kPageSize, known_zero);
+}
+
+bool RealThreadsAllocator::ResizeLargeInPlace(RealThreadCache* tc,
+                                              uintptr_t addr,
+                                              size_t new_size) {
+  WSC_CHECK(real_);
+  // Only an exact live range start qualifies; the unlocked peek keeps
+  // small reallocs off large_mu_. The caller owns the block, so its entry
+  // cannot change under us.
+  if (!Owns(addr) || (addr & (kPageSize - 1)) != 0) return false;
+  const uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
+  if ((entry & kDirLargeFlag) == 0) return false;
+  // A size a class serves belongs in that class; the caller moves it.
+  if (size_classes_->ClassFor(new_size) >= 0 ||
+      new_size > arena_end_ - arena_base_) {
+    return false;
+  }
+  const size_t page = PageOf(addr);
+  const size_t old_pages = entry & kDirPagesMask;
+  const size_t new_pages = static_cast<size_t>(BytesToLengthCeil(new_size));
+  if (new_pages == old_pages) return true;
+
+  std::lock_guard<std::mutex> guard(large_mu_);
+  if (new_pages < old_pages) {
+    AddFreeLocked(page + new_pages, old_pages - new_pages,
+                  /*released=*/false);
+  } else {
+    const size_t next = page + old_pages;  // first page past the range
+    const size_t need = new_pages - old_pages;
+    if (next + need > dir_entries_) return false;
+    uint32_t tag = dir_[next].load(std::memory_order_relaxed);
+    size_t avail = 0;
+    bool released = false;
+    if (tag & kDirFreeFlag) {
+      avail = tag & kDirPagesMask;
+      released = (tag & kDirReleasedFlag) != 0;
+    }
+    if (avail < need) {
+      // The rest comes from the bump frontier, which must start right
+      // where the range (and its free successor, if any) ends.
+      uintptr_t from = PageAddr(next + avail);
+      if (!arena_next_.compare_exchange_strong(
+              from, PageAddr(next + need), std::memory_order_acquire,
+              std::memory_order_relaxed)) {
+        return false;
+      }
+    }
+    if (avail > 0) {
+      size_t take = std::min(avail, need);
+      RemoveFreeLocked(next);
+      if (avail > take) InsertFreeLocked(next + take, avail - take, released);
+      if (released) backing_->Commit(PageAddr(next), take << kPageShift);
+    }
+  }
+  dir_[page].store(kDirLargeFlag | static_cast<uint32_t>(new_pages),
+                   std::memory_order_relaxed);
+  int64_t delta =
+      (static_cast<int64_t>(new_pages) - static_cast<int64_t>(old_pages)) *
+      static_cast<int64_t>(kPageSize);
+  large_live_bytes_.fetch_add(delta, std::memory_order_relaxed);
+  tc->live_bytes += delta;
+  large_inplace_resizes_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void RealThreadsAllocator::ForkPrepare() {
@@ -522,11 +805,12 @@ void RealThreadsAllocator::ForkRelease() {
 void RealThreadsAllocator::FreeAddr(RealThreadCache* tc, uintptr_t addr) {
   WSC_CHECK(real_);
   uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
-  if (entry == 0) return;  // unknown page: stale/foreign pointer, ignore
+  // Unknown page or a free range: stale/foreign pointer, ignore.
+  if (entry == 0 || (entry & kDirFreeFlag)) return;
   if (entry & kDirLargeFlag) {
     // Only the exact range start is a valid large pointer.
     WSC_CHECK_EQ(addr & (kPageSize - 1), uintptr_t{0});
-    FreeLargeReal(tc, addr, entry & ~kDirLargeFlag);
+    FreeLargeReal(tc, addr, entry & kDirPagesMask);
     return;
   }
   FreeClass(tc, static_cast<int>(entry) - 1, addr);
@@ -536,9 +820,9 @@ size_t RealThreadsAllocator::UsableSize(uintptr_t addr) const {
   if (!Owns(addr)) return 0;
   uint32_t entry = dir_[(addr - arena_base_) >> kPageShift].load(
       std::memory_order_relaxed);
-  if (entry == 0) return 0;
+  if (entry == 0 || (entry & kDirFreeFlag)) return 0;
   if (entry & kDirLargeFlag) {
-    return static_cast<size_t>(entry & ~kDirLargeFlag) << kPageShift;
+    return static_cast<size_t>(entry & kDirPagesMask) << kPageShift;
   }
   return size_classes_->class_size(static_cast<int>(entry) - 1);
 }
@@ -735,6 +1019,16 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
         "allocator", "large_pending_bytes",
         static_cast<double>(
             large_free_pages_.load(std::memory_order_relaxed) << kPageShift));
+    registry.ExportGauge(
+        "allocator", "large_free_ranges",
+        static_cast<double>(
+            large_free_ranges_.load(std::memory_order_relaxed)));
+    registry.ExportCounter(
+        "allocator", "large_coalesces",
+        large_coalesces_.load(std::memory_order_relaxed));
+    registry.ExportCounter(
+        "allocator", "large_inplace_resizes",
+        large_inplace_resizes_.load(std::memory_order_relaxed));
   }
   return registry.TakeSnapshot();
 }

@@ -42,11 +42,12 @@
 //    MAP_NORESERVE reservation, hinted MADV_HUGEPAGE. Freelists thread
 //    through the objects themselves (the link is the object's first
 //    word), a per-page atomic directory recovers size classes for the
-//    malloc shim's unsized free/usable_size, freed large ranges keep
-//    their bookkeeping in their own first page, and
-//    ReleaseMemoryToSystem() madvises pending large ranges back to the
-//    OS. Exhaustion returns 0 (the shim turns that into ENOMEM) instead
-//    of the virtual mode's CHECK.
+//    malloc shim's unsized free/usable_size, and freed large ranges go
+//    to a coalescing page-run heap whose metadata lives entirely outside
+//    the freed memory (boundary tags in the directory, list links in a
+//    side array). ReleaseMemoryToSystem() madvises whole free ranges back
+//    to the OS. Exhaustion returns 0 (the shim turns that into ENOMEM)
+//    instead of the virtual mode's CHECK.
 //
 // Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache", and
 // "contention" components (per-shard lock acquisitions, contended
@@ -335,9 +336,9 @@ class RealThreadsAllocator {
 
   // Unsized free: the page directory recovers the size class (or large
   // range length) from the address alone. Unknown addresses inside the
-  // reservation are ignored (defensive: a double free of a large range
-  // whose directory entry was already cleared must not corrupt the
-  // allocator). Real mode only.
+  // reservation, and addresses inside a free large range, are ignored
+  // (defensive: a double free of a large range whose directory entry was
+  // already cleared must not corrupt the allocator). Real mode only.
   void FreeAddr(RealThreadCache* tc, uintptr_t addr);
 
   // malloc_usable_size: the full capacity of the block `addr` points at,
@@ -351,6 +352,23 @@ class RealThreadsAllocator {
     return real_ && addr >= arena_base_ && addr < arena_end_;
   }
 
+  // calloc support: Allocate, plus *known_zero set when the block is
+  // known to read as zeros without a memset — a large range carved fresh
+  // from the bump frontier or taken from a range released whole, with
+  // nothing written since. Small classes and resident large ranges report
+  // false; the caller must zero those. Real mode only.
+  uintptr_t AllocateForCalloc(RealThreadCache* tc, size_t size,
+                              bool* known_zero);
+
+  // realloc support: resizes the live large range starting at `addr` to
+  // `new_size` bytes without moving it. Grows into a free successor range
+  // and/or the bump frontier; shrinks by splitting off a free tail.
+  // Returns false — and changes nothing — when `addr` is not a live large
+  // range, `new_size` belongs to a size class, or the pages behind the
+  // range are not free. Real mode only.
+  bool ResizeLargeInPlace(RealThreadCache* tc, uintptr_t addr,
+                          size_t new_size);
+
   // Aligned allocation (posix_memalign / aligned_alloc). `align` must be
   // a power of two. Small requests are served from the smallest size
   // class whose size is a multiple of `align` (spans are page-aligned, so
@@ -359,9 +377,10 @@ class RealThreadsAllocator {
   // exhaustion. Real mode only.
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
-  // madvises up to `bytes` of pending (freed, not yet released) large
-  // ranges back to the OS; returns the bytes newly released as confirmed
-  // by the backing. Virtual mode returns 0.
+  // madvises pending (freed, not yet released) large ranges back to the
+  // OS, whole ranges and largest first, until at least `bytes` are
+  // confirmed or none is left; returns the bytes newly released as
+  // confirmed by the backing. Virtual mode returns 0.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
   BackendKind backend_kind() const {
@@ -370,6 +389,16 @@ class RealThreadsAllocator {
   // The real backing (null in virtual mode); exposes reservation bounds
   // and release/commit stats.
   const MemoryBacking* backing() const { return backing_.get(); }
+
+  // One free range of the real-memory large heap.
+  struct LargeFreeRange {
+    uintptr_t addr;
+    size_t pages;
+    bool released;  // madvised or never touched: reads as zeros
+  };
+  // The free large ranges in address order, read from the free lists
+  // (tests and debugging; takes the large-path lock). Real mode only.
+  std::vector<LargeFreeRange> LargeFreeRanges();
 
   // Pending large bytes above this watermark trigger an eager release on
   // the free path; 0 disables eager release. Set before worker threads
@@ -417,15 +446,50 @@ class RealThreadsAllocator {
   uintptr_t AllocateLarge(RealThreadCache* tc, size_t size);
   void FreeLarge(RealThreadCache* tc, uintptr_t addr, size_t size);
 
-  // Real-mode large path: first-fit over the pending (freed) range list,
-  // else an aligned bump carve. `align` >= kPageSize, power of two.
-  // Returns 0 on exhaustion.
+  // Real-mode large path: best fit by bin over the resident free ranges,
+  // then the released ones, else an aligned bump carve. `align` >=
+  // kPageSize, power of two. Returns 0 on exhaustion. `known_zero`, when
+  // given, reports whether the range is untouched (see
+  // AllocateForCalloc).
   uintptr_t AllocateLargeReal(RealThreadCache* tc, size_t size,
-                              size_t align);
+                              size_t align, bool* known_zero = nullptr);
   void FreeLargeReal(RealThreadCache* tc, uintptr_t addr, size_t pages);
-  // Releases tails of pending large ranges until `want_bytes` confirmed
-  // or the list is dry. Caller holds large_mu_.
+  // Releases whole resident free ranges, largest first, until
+  // `want_bytes` are confirmed or none is left. Caller holds large_mu_.
   size_t ReleasePendingLocked(size_t want_bytes);
+
+  // ---- The free-range heap (all *Locked: caller holds large_mu_) ----
+  // Adds the free run [page, page+pages) in state `released`: merges it
+  // with free neighbours in the same state, then either hands it back to
+  // the bump frontier (released runs that end there) or files it.
+  void AddFreeLocked(size_t page, size_t pages, bool released);
+  // Files a run that is known to have no free neighbour in its state:
+  // writes its boundary tags and links it into its bin.
+  void InsertFreeLocked(size_t page, size_t pages, bool released);
+  // Unlinks the free range starting at `page` and clears its tags;
+  // returns its length in pages.
+  size_t RemoveFreeLocked(size_t page);
+  // The free range of state `released` that best holds `pages` pages at
+  // `align`, or kNoPage.
+  size_t FindFreeLocked(size_t pages, size_t align, bool released) const;
+  // Takes `pages` pages at `align` out of a free range of state
+  // `released`; the unused head and tail stay free. Returns 0 when none
+  // fits.
+  uintptr_t TakeFreeLocked(size_t pages, size_t align, bool released);
+  // Bump-carves `pages` pages at `align`; the skipped alignment gap (never
+  // touched) becomes a released free range. Returns 0 on exhaustion.
+  uintptr_t CarveLargeLocked(size_t pages, size_t align);
+  // First non-empty bin >= `from` of the given state, or -1.
+  int NextBinLocked(bool released, int from) const;
+  // Last non-empty bin of the given state, or -1.
+  int LastBinLocked(bool released) const;
+
+  size_t PageOf(uintptr_t addr) const {
+    return (addr - arena_base_) >> kPageShift;
+  }
+  uintptr_t PageAddr(size_t page) const {
+    return arena_base_ + (page << kPageShift);
+  }
 
   // Fills out[0..want) from the CFL layer: home shard first, then
   // work-stealing probes of the siblings, then fresh carves. Returns the
@@ -478,31 +542,57 @@ class RealThreadsAllocator {
   std::atomic<uint64_t> large_carves_{0};
 
   // ---- Real-memory mode state ----
-  // Page directory entry encoding: 0 = unknown; cls+1 = small page of
-  // size class cls; kDirLargeFlag|pages = first page of a live large
-  // range of `pages` pages. Interior large pages stay 0, which is safe:
-  // starts never become interior (pending ranges are reused from the
-  // front and never coalesced), so a stale entry cannot alias a live one.
+  // Page directory: one entry per 8 KiB page of the reservation.
+  //   0                          unknown, or interior of a large range
+  //   cls+1                      page of a small span of size class cls
+  //   kDirLargeFlag|pages        first page of a live large range
+  //   kDirFreeFlag|pages         first AND last page of a free large
+  //     [|kDirReleasedFlag]      range (released: madvised or never
+  //                              touched, so it reads as zeros)
+  // Interior pages of live and free ranges stay 0, and every tag is
+  // cleared when its range is allocated, merged away or handed back to
+  // the bump frontier, so no stale tag survives. That is what makes
+  // coalescing O(1): the entry just before a range's first page and the
+  // one just past its last page say whether a free neighbour is there
+  // and how long it is.
   static constexpr uint32_t kDirLargeFlag = 0x80000000u;
+  static constexpr uint32_t kDirFreeFlag = 0x40000000u;
+  static constexpr uint32_t kDirReleasedFlag = 0x20000000u;
+  static constexpr uint32_t kDirPagesMask = kDirReleasedFlag - 1;
+
+  // Free-list bins: one per page count up to kExactBins pages (2 MiB),
+  // then four per power of two up to the 2^29-page directory limit.
+  static constexpr int kExactBins = 256;
+  static constexpr int kNumBins = kExactBins + 4 * (29 - 8);
+  static constexpr int kBinWords = (kNumBins + 63) / 64;
+  static constexpr uint32_t kNoPage = ~uint32_t{0};
+  static int FreeBin(size_t pages);
 
   const bool real_;
   std::unique_ptr<RealMemoryBacking> backing_;  // null in virtual mode
   std::atomic<uint32_t>* dir_ = nullptr;  // one entry per reservation page
   size_t dir_entries_ = 0;
 
-  // Freed large ranges, singly linked through their own first page (a
-  // LargeRange header lives in the freed memory). Guarded by large_mu_;
-  // the page counters are atomic only so FootprintBytes/telemetry can
-  // read them without the mutex.
-  struct LargeRange {
-    uintptr_t next;
-    size_t pages;
-    bool released;  // tail (everything past the header page) madvised
+  // The free-range heap: doubly linked, size-binned free lists, one set
+  // for resident ranges ([0]) and one for released ranges ([1]). The
+  // links live in a NORESERVE side array indexed by page (only a range's
+  // first page uses its slot), never in the freed memory, so a released
+  // range stays untouched until it is allocated again. Guarded by
+  // large_mu_; the counters are atomic only so FootprintBytes and
+  // telemetry can read them without the mutex.
+  struct FreeLink {
+    uint32_t prev;
+    uint32_t next;
   };
   std::mutex large_mu_;
-  uintptr_t large_free_head_ = 0;
+  FreeLink* free_links_ = nullptr;
+  uint32_t free_heads_[2][kNumBins];
+  uint64_t free_nonempty_[2][kBinWords] = {};
   std::atomic<size_t> large_free_pages_{0};
   std::atomic<size_t> large_unreleased_pages_{0};
+  std::atomic<size_t> large_free_ranges_{0};
+  std::atomic<uint64_t> large_coalesces_{0};
+  std::atomic<uint64_t> large_inplace_resizes_{0};
   // Pending large bytes above this watermark trigger an eager release on
   // the free path (0 disables). ReleaseMemoryToSystem works regardless.
   size_t large_release_threshold_bytes_ = size_t{256} << 20;

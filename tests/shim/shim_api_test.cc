@@ -11,6 +11,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -65,6 +66,57 @@ TEST(ShimApi, CallocZeroesAndRejectsOverflow) {
   volatile size_t overflow_n = SIZE_MAX / 2;  // opaque to -Walloc-size
   EXPECT_EQ(calloc(overflow_n, 3), nullptr);
   EXPECT_EQ(errno, ENOMEM);
+}
+
+TEST(ShimApi, SmallMallocIsC17Aligned) {
+  // C17 requires 16-byte alignment for every request above 16 bytes;
+  // the 8-byte-spaced classes from 24 to 120 B must never be handed out.
+  for (size_t size : {24ul, 40ul, 56ul, 72ul, 88ul, 100ul, 120ul}) {
+    void* blocks[64];
+    for (void*& p : blocks) {
+      p = malloc(size);
+      ASSERT_NE(p, nullptr) << size;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u) << size;
+    }
+    for (void* p : blocks) free(p);
+  }
+}
+
+TEST(ShimApi, CallocOfReleasedRangeReadsZero) {
+  constexpr size_t kBytes = size_t{1} << 20;
+  for (bool release : {false, true}) {
+    unsigned char* p = static_cast<unsigned char*>(malloc(kBytes));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xAB, kBytes);
+    free(p);
+    // Without the release the range comes back resident and dirty (the
+    // shim must clear it); with it, released whole (no memset needed).
+    if (release) wscmalloc_release_memory(~size_t{0});
+    unsigned char* q = static_cast<unsigned char*>(calloc(1, kBytes));
+    ASSERT_NE(q, nullptr);
+    for (size_t i = 0; i < kBytes; ++i) {
+      ASSERT_EQ(q[i], 0) << "release=" << release << " byte " << i;
+    }
+    free(q);
+  }
+}
+
+TEST(ShimApi, LargeReallocKeepsContents) {
+  constexpr size_t kBytes = size_t{1} << 20;
+  unsigned char* p = static_cast<unsigned char*>(malloc(kBytes));
+  ASSERT_NE(p, nullptr);
+  for (size_t i = 0; i < kBytes; ++i) p[i] = static_cast<unsigned char>(i);
+  // Grow, shrink, and grow again: in place or moved, the prefix survives.
+  for (size_t size : {kBytes + kBytes / 4, kBytes / 2 + 1, 3 * kBytes}) {
+    size_t keep = std::min(size, kBytes / 2);
+    p = static_cast<unsigned char*>(realloc(p, size));
+    ASSERT_NE(p, nullptr) << size;
+    EXPECT_GE(malloc_usable_size(p), size);
+    for (size_t i = 0; i < keep; ++i) {
+      ASSERT_EQ(p[i], static_cast<unsigned char>(i)) << size << ":" << i;
+    }
+  }
+  free(p);
 }
 
 TEST(ShimApi, ReallocGrowsPreservingContents) {
@@ -174,6 +226,9 @@ TEST(ShimApi, StatsJsonIsWellFormedAndBalances) {
   EXPECT_NE(std::strstr(buf, "\"active\":true"), nullptr) << buf;
   EXPECT_NE(std::strstr(buf, "\"backend\":\"real-memory\""), nullptr) << buf;
   EXPECT_NE(std::strstr(buf, "\"allocations\":"), nullptr) << buf;
+  EXPECT_NE(std::strstr(buf, "\"large_free_ranges\":"), nullptr) << buf;
+  // allocbench and other scrapers read the line into 1 KiB buffers.
+  EXPECT_LT(n, 512u);
 }
 
 TEST(ShimApi, ReleaseMemoryReturnsConfirmedBytes) {

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -206,9 +210,10 @@ TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
 
   size_t released = alloc.ReleaseMemoryToSystem(kBytes);
   EXPECT_GT(released, 0u);
-  // All but the header page (which carries the pending-list node).
-  EXPECT_EQ(released, kBytes - kPageSize);
+  // The whole range, first page included: no freed byte holds metadata.
+  EXPECT_EQ(released, kBytes);
   // Really gone: refaults zero.
+  EXPECT_EQ(mem[0], 0);
   EXPECT_EQ(mem[kPageSize], 0);
   EXPECT_EQ(mem[kBytes - 1], 0);
   // Releasing again finds nothing new.
@@ -296,6 +301,398 @@ TEST(RealMemoryModeTest, CrossThreadStormConservesObjects) {
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
   EXPECT_EQ(Metric(snap, "system", "reserved_bytes"),
             static_cast<double>(alloc.backing()->reserved_bytes()));
+}
+
+// ---- The coalescing large heap.
+
+constexpr size_t kLargeUnit = size_t{512} << 10;  // above every size class
+
+uint64_t Stamp(uintptr_t addr, size_t page) {
+  return (addr * 0x9E3779B97F4A7C15ull) ^ page;
+}
+
+// Writes a stamp into the first word of every page of [addr, addr+bytes).
+void StampRange(uintptr_t addr, size_t bytes) {
+  for (size_t off = 0; off < bytes; off += kPageSize) {
+    *reinterpret_cast<uint64_t*>(addr + off) = Stamp(addr, off);
+  }
+}
+
+bool StampsIntact(uintptr_t addr, size_t bytes) {
+  for (size_t off = 0; off < bytes; off += kPageSize) {
+    if (*reinterpret_cast<uint64_t*>(addr + off) != Stamp(addr, off)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The heap's invariants against the caller's view of the live ranges:
+// free and live ranges never overlap, no two adjacent free ranges share a
+// state (they would have merged), the pending gauge is the sum of the
+// free ranges and the range gauge their count, and no free range start
+// passes for a live block.
+void ExpectHeapConsistent(RealThreadsAllocator& alloc,
+                          const std::map<uintptr_t, size_t>& live) {
+  std::vector<RealThreadsAllocator::LargeFreeRange> free_ranges =
+      alloc.LargeFreeRanges();
+  std::map<uintptr_t, size_t> all(live);
+  size_t free_pages = 0;
+  for (size_t i = 0; i < free_ranges.size(); ++i) {
+    const auto& r = free_ranges[i];
+    ASSERT_GT(r.pages, 0u);
+    free_pages += r.pages;
+    EXPECT_EQ(alloc.UsableSize(r.addr), 0u);
+    ASSERT_TRUE(all.emplace(r.addr, r.pages << kPageShift).second);
+    if (i > 0) {
+      const auto& prev = free_ranges[i - 1];
+      if (prev.addr + (prev.pages << kPageShift) == r.addr) {
+        EXPECT_NE(prev.released, r.released)
+            << "adjacent free ranges in one state at " << r.addr;
+      }
+    }
+  }
+  uintptr_t end = 0;
+  for (auto [addr, bytes] : all) {
+    ASSERT_LE(end, addr) << "overlapping ranges at " << addr;
+    end = addr + bytes;
+  }
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "large_pending_bytes"),
+            static_cast<double>(free_pages << kPageShift));
+  EXPECT_EQ(Metric(snap, "allocator", "large_free_ranges"),
+            static_cast<double>(free_ranges.size()));
+}
+
+TEST(RealMemoryLargeHeapTest, ThreeNeighboursCoalesceInEveryOrder) {
+  int order[3] = {0, 1, 2};
+  do {
+    RealThreadsAllocator alloc(RealConfig(), 1);
+    RealThreadCache* tc = alloc.RegisterThread();
+    uintptr_t blocks[3];
+    for (uintptr_t& b : blocks) b = alloc.Allocate(tc, kLargeUnit);
+    // A live block behind the three keeps them off the bump frontier.
+    uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+    ASSERT_EQ(blocks[1], blocks[0] + kLargeUnit);
+    ASSERT_EQ(blocks[2], blocks[1] + kLargeUnit);
+    ASSERT_EQ(guard, blocks[2] + kLargeUnit);
+    for (int i : order) alloc.FreeAddr(tc, blocks[i]);
+
+    std::vector<RealThreadsAllocator::LargeFreeRange> ranges =
+        alloc.LargeFreeRanges();
+    ASSERT_EQ(ranges.size(), 1u) << order[0] << order[1] << order[2];
+    EXPECT_EQ(ranges[0].addr, blocks[0]);
+    EXPECT_EQ(ranges[0].pages << kPageShift, 3 * kLargeUnit);
+    EXPECT_FALSE(ranges[0].released);
+    telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+    EXPECT_EQ(Metric(snap, "allocator", "large_coalesces"), 2.0);
+    EXPECT_EQ(Metric(snap, "allocator", "large_free_ranges"), 1.0);
+    // The merged range serves a request for all of it, at the same
+    // address.
+    EXPECT_EQ(alloc.Allocate(tc, 3 * kLargeUnit), blocks[0]);
+    alloc.FreeAddr(tc, blocks[0]);
+    alloc.FreeAddr(tc, guard);
+  } while (std::next_permutation(order, order + 3));
+}
+
+TEST(RealMemoryLargeHeapTest, StaleAddressesInsideFreeRangesAreIgnored) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  uintptr_t a = alloc.Allocate(tc, 2 * kLargeUnit);
+  uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+  alloc.FreeAddr(tc, a);
+  const uintptr_t last_page = a + 2 * kLargeUnit - kPageSize;
+  for (int pass = 0; pass < 2; ++pass) {
+    // The first page and the last page carry the free range's tags, the
+    // pages between them nothing; none of them is a live block.
+    for (uintptr_t stale : {a, a + 3 * kPageSize, last_page}) {
+      EXPECT_EQ(alloc.UsableSize(stale), 0u);
+      alloc.FreeAddr(tc, stale);
+    }
+    ASSERT_EQ(alloc.LargeFreeRanges().size(), 1u);
+    EXPECT_EQ(alloc.LargeFreeRanges()[0].pages << kPageShift,
+              2 * kLargeUnit);
+    // Once more with the range released.
+    alloc.ReleaseMemoryToSystem(~size_t{0});
+  }
+  alloc.FreeAddr(tc, guard);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"), 2.0);
+  EXPECT_EQ(Metric(snap, "allocator", "frees"), 2.0);
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+}
+
+TEST(RealMemoryLargeHeapTest, AlignedRequestSplitsHeadAndTail) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  // 40 pages, then a 64-page block that starts 40 pages into a hugepage
+  // (the reservation base is hugepage-aligned), then a guard.
+  uintptr_t lead = alloc.Allocate(tc, 40 * kPageSize);
+  uintptr_t block = alloc.Allocate(tc, 64 * kPageSize);
+  uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+  ASSERT_EQ(lead % kHugePageSize, 0u);
+  ASSERT_EQ(block, lead + 40 * kPageSize);
+  alloc.FreeAddr(tc, block);
+
+  // 16 pages at a 32-page alignment land 24 pages into the free range:
+  // a 24-page head and a 24-page tail stay free.
+  constexpr size_t kAlign = 32 * kPageSize;
+  uintptr_t p = alloc.AllocateAligned(tc, 16 * kPageSize, kAlign);
+  EXPECT_EQ(p, lead + 64 * kPageSize);
+  EXPECT_EQ(p % kAlign, 0u);
+  EXPECT_EQ(alloc.UsableSize(p), 16 * kPageSize);
+  std::vector<RealThreadsAllocator::LargeFreeRange> ranges =
+      alloc.LargeFreeRanges();
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0].addr, block);
+  EXPECT_EQ(ranges[0].pages, 24u);
+  EXPECT_EQ(ranges[1].addr, p + 16 * kPageSize);
+  EXPECT_EQ(ranges[1].pages, 24u);
+
+  // Freeing it merges all three back into the original range.
+  alloc.FreeAddr(tc, p);
+  ranges = alloc.LargeFreeRanges();
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].addr, block);
+  EXPECT_EQ(ranges[0].pages, 64u);
+  alloc.FreeAddr(tc, lead);
+  alloc.FreeAddr(tc, guard);
+}
+
+TEST(RealMemoryLargeHeapTest, InPlaceResizeKeepsContents) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  // Carved first, so its span does not land behind the large blocks.
+  uintptr_t small = alloc.Allocate(tc, 64);
+  uintptr_t a = alloc.Allocate(tc, kLargeUnit);
+  uintptr_t b = alloc.Allocate(tc, kLargeUnit);
+  uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+  ASSERT_EQ(b, a + kLargeUnit);
+  StampRange(a, kLargeUnit);
+  alloc.FreeAddr(tc, b);
+
+  // Grow into half of the free successor: same address, contents kept,
+  // the other half stays free.
+  ASSERT_TRUE(alloc.ResizeLargeInPlace(tc, a, kLargeUnit + kLargeUnit / 2));
+  EXPECT_EQ(alloc.UsableSize(a), kLargeUnit + kLargeUnit / 2);
+  EXPECT_TRUE(StampsIntact(a, kLargeUnit));
+  ASSERT_EQ(alloc.LargeFreeRanges().size(), 1u);
+  EXPECT_EQ(alloc.LargeFreeRanges()[0].addr,
+            a + kLargeUnit + kLargeUnit / 2);
+  StampRange(a, kLargeUnit + kLargeUnit / 2);
+
+  // More than the successor holds, with a live block behind it: refused,
+  // nothing changes.
+  EXPECT_FALSE(alloc.ResizeLargeInPlace(tc, a, 3 * kLargeUnit));
+  EXPECT_EQ(alloc.UsableSize(a), kLargeUnit + kLargeUnit / 2);
+  // A size a class serves, a small object and an interior address are
+  // not for this path.
+  EXPECT_FALSE(alloc.ResizeLargeInPlace(tc, a, 1024));
+  EXPECT_FALSE(alloc.ResizeLargeInPlace(tc, small, kLargeUnit));
+  EXPECT_FALSE(alloc.ResizeLargeInPlace(tc, a + kPageSize, kLargeUnit));
+
+  // Shrink: the tail merges with the free range behind it.
+  ASSERT_TRUE(alloc.ResizeLargeInPlace(tc, a, kLargeUnit / 2 + 1));
+  EXPECT_EQ(alloc.UsableSize(a), kLargeUnit / 2 + kPageSize);
+  EXPECT_TRUE(StampsIntact(a, kLargeUnit / 2));
+  ASSERT_EQ(alloc.LargeFreeRanges().size(), 1u);
+  EXPECT_EQ(alloc.LargeFreeRanges()[0].addr, a + kLargeUnit / 2 + kPageSize);
+
+  // The last block before the bump frontier grows from the frontier.
+  StampRange(guard, kLargeUnit);
+  ASSERT_TRUE(alloc.ResizeLargeInPlace(tc, guard, 4 * kLargeUnit));
+  EXPECT_TRUE(StampsIntact(guard, kLargeUnit));
+  EXPECT_EQ(alloc.ArenaUsedBytes(),
+            guard + 4 * kLargeUnit - alloc.backing()->base());
+
+  alloc.FreeAddr(tc, a);
+  alloc.FreeAddr(tc, guard);
+  alloc.FreeAddr(tc, small);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "large_inplace_resizes"), 3.0);
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+}
+
+TEST(RealMemoryLargeHeapTest, CallocSkipsMemsetOnlyOnUntouchedRanges) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  constexpr size_t kBytes = 3 * kLargeUnit;
+  bool known_zero = false;
+  // Fresh from the frontier: zero.
+  uintptr_t p = alloc.AllocateForCalloc(tc, kBytes, &known_zero);
+  EXPECT_TRUE(known_zero);
+  uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+  std::memset(reinterpret_cast<void*>(p), 0xAB, kBytes);
+  alloc.FreeAddr(tc, p);
+  // Freed but resident: the caller must clear it.
+  EXPECT_EQ(alloc.AllocateForCalloc(tc, kBytes, &known_zero), p);
+  EXPECT_FALSE(known_zero);
+  alloc.FreeAddr(tc, p);
+  // Released whole: zero without a memset, every byte.
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(~size_t{0}), kBytes);
+  EXPECT_EQ(alloc.AllocateForCalloc(tc, kBytes, &known_zero), p);
+  EXPECT_TRUE(known_zero);
+  const unsigned char* mem = reinterpret_cast<const unsigned char*>(p);
+  for (size_t i = 0; i < kBytes; ++i) ASSERT_EQ(mem[i], 0) << i;
+  // Small classes are never known zero.
+  uintptr_t small = alloc.AllocateForCalloc(tc, 100, &known_zero);
+  EXPECT_FALSE(known_zero);
+  alloc.FreeAddr(tc, small);
+  alloc.FreeAddr(tc, p);
+  alloc.FreeAddr(tc, guard);
+}
+
+// A seeded stream of large-path operations checked against a reference
+// map of the live ranges, with the heap's invariants checked as it goes.
+TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  // A low eager-release watermark, so frees release (and merge released
+  // ranges) too.
+  alloc.SetLargeReleaseThreshold(size_t{16} << 20);
+  RealThreadCache* tc = alloc.RegisterThread();
+  std::mt19937_64 rng(20240427);
+  std::map<uintptr_t, size_t> live;  // addr -> usable bytes
+  auto pick = [&]() {
+    auto it = live.begin();
+    std::advance(it, rng() % live.size());
+    return it;
+  };
+  for (int op = 0; op < 3000; ++op) {
+    const int kind = static_cast<int>(rng() % 100);
+    if (live.empty() || (kind < 40 && live.size() < 48)) {
+      size_t size = kMaxSmallSize + 1 + rng() % (size_t{2} << 20);
+      bool known_zero = false;
+      uintptr_t p;
+      switch (rng() % 4) {
+        case 0:
+          p = alloc.AllocateAligned(tc, size, size_t{16384} << (rng() % 4));
+          break;
+        case 1:
+          p = alloc.AllocateForCalloc(tc, size, &known_zero);
+          break;
+        default:
+          p = alloc.Allocate(tc, size);
+      }
+      ASSERT_NE(p, 0u);
+      size_t usable = alloc.UsableSize(p);
+      ASSERT_GE(usable, size);
+      if (known_zero) {
+        for (size_t off = 0; off < usable; off += 4096) {
+          ASSERT_EQ(*reinterpret_cast<uint64_t*>(p + off), 0u) << off;
+        }
+      }
+      StampRange(p, usable);
+      ASSERT_TRUE(live.emplace(p, usable).second);
+    } else if (kind < 75) {
+      auto it = pick();
+      ASSERT_TRUE(StampsIntact(it->first, it->second));
+      if (rng() % 2) {
+        alloc.FreeAddr(tc, it->first);
+      } else {
+        alloc.Free(tc, it->first, it->second);
+      }
+      live.erase(it);
+    } else if (kind < 92) {
+      auto it = pick();
+      size_t size = kMaxSmallSize + 1 + rng() % (size_t{3} << 20);
+      if (alloc.ResizeLargeInPlace(tc, it->first, size)) {
+        size_t usable = alloc.UsableSize(it->first);
+        ASSERT_EQ(usable, LengthToBytes(BytesToLengthCeil(size)));
+        ASSERT_TRUE(StampsIntact(it->first, std::min(usable, it->second)));
+        it->second = usable;
+        StampRange(it->first, usable);
+      }
+    } else {
+      alloc.ReleaseMemoryToSystem(rng() % (size_t{8} << 20));
+    }
+    if (op % 50 == 49) ExpectHeapConsistent(alloc, live);
+    if (HasFatalFailure()) return;
+  }
+  for (auto [addr, bytes] : live) {
+    ASSERT_TRUE(StampsIntact(addr, bytes));
+    alloc.FreeAddr(tc, addr);
+  }
+  live.clear();
+  ExpectHeapConsistent(alloc, live);
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+  ExpectHeapConsistent(alloc, live);
+  for (const auto& r : alloc.LargeFreeRanges()) EXPECT_TRUE(r.released);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+  EXPECT_GT(Metric(snap, "allocator", "large_coalesces"), 0.0);
+  EXPECT_GT(Metric(snap, "allocator", "large_inplace_resizes"), 0.0);
+}
+
+// Four threads allocating, resizing, releasing and freeing large blocks,
+// a quarter of them freed by another thread.
+TEST(RealMemoryLargeHeapTest, FourThreadLargeStorm) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 1500;
+  RealThreadsAllocator alloc(RealConfig(), kThreads);
+  alloc.SetLargeReleaseThreshold(size_t{32} << 20);
+  std::vector<std::pair<uintptr_t, uint64_t>> piles[kThreads];
+  std::mutex piles_mu;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      RealThreadCache* tc = alloc.RegisterThread();
+      std::mt19937_64 rng(7 + t);
+      std::vector<std::pair<uintptr_t, uint64_t>> mine;
+      auto check_and_free = [&](uintptr_t p, uint64_t tag) {
+        EXPECT_EQ(*reinterpret_cast<uint64_t*>(p), tag);
+        alloc.FreeAddr(tc, p);
+      };
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        uint64_t r = rng();
+        if (mine.size() < 8 || r % 3 == 0) {
+          size_t size = kMaxSmallSize + 1 + r % (size_t{1} << 20);
+          uintptr_t p = alloc.Allocate(tc, size);
+          ASSERT_NE(p, 0u);
+          *reinterpret_cast<uint64_t*>(p) = r;
+          std::memcpy(reinterpret_cast<void*>(p + size - 8), &r, 8);
+          if (r % 4 == 0) {
+            std::lock_guard<std::mutex> guard(piles_mu);
+            piles[(t + 1) % kThreads].push_back({p, r});
+          } else {
+            mine.push_back({p, r});
+          }
+        } else if (r % 3 == 1) {
+          auto [p, tag] = mine.back();
+          mine.pop_back();
+          check_and_free(p, tag);
+        } else {
+          auto [p, tag] = mine[r % mine.size()];
+          alloc.ResizeLargeInPlace(
+              tc, p, kMaxSmallSize + 1 + (r >> 20) % (size_t{2} << 20));
+          EXPECT_EQ(*reinterpret_cast<uint64_t*>(p), tag);
+        }
+        if (op % 100 == 99) {
+          alloc.ReleaseMemoryToSystem(size_t{4} << 20);
+          std::vector<std::pair<uintptr_t, uint64_t>> handed;
+          {
+            std::lock_guard<std::mutex> guard(piles_mu);
+            handed.swap(piles[t]);
+          }
+          for (auto [p, tag] : handed) check_and_free(p, tag);
+        }
+      }
+      for (auto [p, tag] : mine) check_and_free(p, tag);
+    });
+  }
+  for (auto& w : workers) w.join();
+  RealThreadCache* main_tc = alloc.RegisterThread();
+  for (auto& pile : piles) {
+    for (auto [p, tag] : pile) alloc.FreeAddr(main_tc, p);
+  }
+  ExpectHeapConsistent(alloc, {});
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
 }
 
 }  // namespace
