@@ -1,12 +1,15 @@
 // Fragmentation / memory-return probe.
 //
-// Builds a large mixed-size population, frees a checkerboard of it (every
-// other object — the worst case for page-level reuse), then asks the
-// allocator to give memory back and reports RSS at each stage. Under the
-// shim the release step calls wscmalloc_release_memory(), which routes to
-// RealThreadsAllocator::ReleaseMemoryToSystem → madvise(MADV_DONTNEED);
-// under glibc it calls malloc_trim-equivalent via free() alone (no-op),
-// so the rss_after_release column is the interesting comparison.
+// Builds a large mixed-size population (--ops objects, default 30,000:
+// about 1.6 GB, since a tenth of them are 512 KiB), frees a checkerboard
+// of it (every other object — the worst case for page-level reuse), then
+// asks the allocator to give memory back and reports RSS at each stage.
+// Under the shim the release step calls wscmalloc_release_memory(), which
+// routes to RealThreadsAllocator::ReleaseMemoryToSystem →
+// madvise(MADV_DONTNEED); under glibc it calls malloc_trim(0), so the
+// rss_after_release column is the interesting comparison. With --out-dir
+// the shim stats sidecar gets "pre", "peak", "released" and "post"
+// snapshots; everything allocated after "pre" is freed before "post".
 
 #include <malloc.h>
 
@@ -22,8 +25,9 @@ namespace {
 size_t PickSize(wsc_preload::Rng& rng) {
   const uint64_t r = rng.Next();
   // 90% small-class objects, 10% above kMaxSmallSize (256 KiB) so they
-  // take the page-heap large path — the only releasable population in
-  // wscmalloc (small-class spans are recycled, never returned).
+  // take the page-heap large path. A checkerboard free leaves nearly
+  // every small span partly live, so in wscmalloc most of what the
+  // release returns comes from the freed large blocks.
   if (r % 100 < 90) return 64u << ((r >> 8) % 7);  // 64 B .. 4 KiB
   return size_t{512} * 1024;
 }
@@ -32,38 +36,43 @@ size_t PickSize(wsc_preload::Rng& rng) {
 
 int main(int argc, char** argv) {
   using namespace wsc_preload;
-  PreloadFlags flags = ParsePreloadFlags(argc, argv);
+  PreloadFlags flags = ParsePreloadFlags(argc, argv, /*default_ops=*/30000);
   ShimApi shim = DiscoverShim();
   AppendShimStats(flags, "frag", shim, "pre");
 
   const size_t population = static_cast<size_t>(flags.ops);
-  std::vector<void*> objs(population, nullptr);
-  Rng rng(flags.seed);
-  for (size_t i = 0; i < population; ++i) {
-    const size_t size = PickSize(rng);
-    objs[i] = std::malloc(size);
-    if (objs[i] == nullptr) std::abort();
-    std::memset(objs[i], 0xEE, size);  // fault everything in
-  }
-  const size_t rss_peak = ReadRssBytes();
-
-  // Checkerboard free: half the bytes die but nearly every page stays
-  // partially live — the fragmentation regime of Figure 5.
-  for (size_t i = 0; i < population; i += 2) {
-    std::free(objs[i]);
-    objs[i] = nullptr;
-  }
-  const size_t rss_after_free = ReadRssBytes();
-
+  size_t rss_peak, rss_after_free, rss_after_release;
   size_t released = 0;
-  if (shim.active() && shim.release_memory != nullptr) {
-    released = shim.release_memory(~size_t{0});
-  } else {
-    malloc_trim(0);
-  }
-  const size_t rss_after_release = ReadRssBytes();
+  {
+    std::vector<void*> objs(population, nullptr);
+    Rng rng(flags.seed);
+    for (size_t i = 0; i < population; ++i) {
+      const size_t size = PickSize(rng);
+      objs[i] = std::malloc(size);
+      if (objs[i] == nullptr) std::abort();
+      std::memset(objs[i], 0xEE, size);  // fault everything in
+    }
+    rss_peak = ReadRssBytes();
+    AppendShimStats(flags, "frag", shim, "peak");
 
-  for (size_t i = 1; i < population; i += 2) std::free(objs[i]);
+    // Checkerboard free: half the bytes die but nearly every page stays
+    // partially live — the fragmentation regime of Figure 5.
+    for (size_t i = 0; i < population; i += 2) {
+      std::free(objs[i]);
+      objs[i] = nullptr;
+    }
+    rss_after_free = ReadRssBytes();
+
+    if (shim.active() && shim.release_memory != nullptr) {
+      released = shim.release_memory(~size_t{0});
+    } else {
+      malloc_trim(0);
+    }
+    rss_after_release = ReadRssBytes();
+    AppendShimStats(flags, "frag", shim, "released");
+
+    for (size_t i = 1; i < population; i += 2) std::free(objs[i]);
+  }
 
   AppendShimStats(flags, "frag", shim, "post");
 

@@ -13,7 +13,8 @@
 //
 // Flags (a subset of the bench_util.h conventions):
 //   --threads=N     worker thread count (default 4)
-//   --ops=N         operations per thread (default 1'000'000)
+//   --ops=N         operations per thread (default 1'000'000; a bench may
+//                   pick its own default)
 //   --seed=N        deterministic PRNG seed (default 1)
 //   --out-dir=DIR   write DIR/<bench>.json (the harness report) and, when
 //                   the shim is active, DIR/<bench>.stats.json with the
@@ -80,8 +81,10 @@ struct PreloadFlags {
   std::string out_dir;
 };
 
-inline PreloadFlags ParsePreloadFlags(int argc, char** argv) {
+inline PreloadFlags ParsePreloadFlags(int argc, char** argv,
+                                      uint64_t default_ops = 1000000) {
   PreloadFlags f;
+  f.ops = default_ops;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--threads=", 10) == 0) {
@@ -173,7 +176,8 @@ inline void EmitReport(const PreloadFlags& flags, const char* bench,
 
 // Appends one {"phase":...,<shim stats>} line to DIR/<bench>.stats.json.
 // No-op on glibc or without --out-dir. CI diffs the pre/post snapshots to
-// assert the allocation/free delta balances.
+// assert the allocation/free delta balances (and, for bench_frag, that
+// the "released" footprint is below the "peak" one).
 inline void AppendShimStats(const PreloadFlags& flags, const char* bench,
                             const ShimApi& api, const char* phase) {
   if (!api.active() || api.stats_json == nullptr || flags.out_dir.empty()) {

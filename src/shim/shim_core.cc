@@ -561,6 +561,9 @@ const char* ShimBackendName() {
 size_t ShimReleaseMemory(size_t bytes) {
   if (!ShimIsActive()) return 0;
   BusyScope busy;
+  // The caller's own cached objects pin their spans; other threads'
+  // caches stay as they are.
+  if (t_cache != nullptr) g_alloc->FlushThreadCache(t_cache);
   return g_alloc->ReleaseMemoryToSystem(bytes);
 }
 

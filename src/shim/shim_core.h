@@ -38,8 +38,9 @@ size_t ShimUsableSize(void* ptr);
 bool ShimIsActive();
 // "real-memory" once active.
 const char* ShimBackendName();
-// madvise up to `bytes` of pending freed memory back to the OS; returns
-// bytes newly released.
+// Flushes the calling thread's cache, returns the spans it and the
+// transfer shards emptied to the page heap, then madvises up to `bytes`
+// of free page-heap memory back to the OS; returns bytes newly released.
 size_t ShimReleaseMemory(size_t bytes);
 // Writes a one-line JSON object of allocator counters (allocations,
 // frees, footprint_bytes, released_bytes, bootstrap_bytes, threads) into

@@ -1,6 +1,7 @@
 #include "tcmalloc/real_threads.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace wsc::tcmalloc {
 
@@ -12,6 +13,10 @@ constexpr int kMaxShards = 16;
 
 // Stack-buffer bound for batch moves; size-class batch sizes top out at 32.
 constexpr int kMaxBatch = 64;
+
+// Real mode: the most a size class keeps in its transfer shards, in bytes
+// (TCMalloc's per-class transfer-cache limit).
+constexpr size_t kRealTransferBytesPerClass = size_t{1} << 20;
 
 // Pops up to `want` objects from the back of `from` into `out`.
 int TakeBack(std::vector<uintptr_t>& from, uintptr_t* out, int want) {
@@ -74,6 +79,16 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
     // two-batch floor so every shard can absorb an insert and still
     // serve a remove.
     int batches = std::max(2, config.transfer_cache_batches / num_shards_);
+    if (real_) {
+      // On real memory a cached object pins its whole span, and a big
+      // class's budget would park tens of MiB: as in TCMalloc's transfer
+      // cache, a class caches at most kRealTransferBytesPerClass over all
+      // its shards, but always one batch per shard.
+      const size_t batch_bytes = info.size * static_cast<size_t>(info.batch_size);
+      const size_t fit = kRealTransferBytesPerClass / num_shards_ / batch_bytes;
+      batches = static_cast<int>(
+          std::clamp<size_t>(fit, 1, static_cast<size_t>(batches)));
+    }
     transfer_cap_[cls] = static_cast<uint32_t>(batches * info.batch_size);
   }
 
@@ -83,6 +98,8 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
   for (int cls = 0; cls < num_classes_; ++cls) {
     for (int shard = 0; shard < num_shards_; ++shard) {
       transfer_shard(cls, shard).capacity = transfer_cap_[cls];
+      CflShard& cs = cfl_shard(cls, shard);
+      std::fill(std::begin(cs.span_lists), std::end(cs.span_lists), kNoPage);
     }
   }
 
@@ -104,6 +121,18 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
     free_links_ = reinterpret_cast<FreeLink*>(
         RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(FreeLink)));
     WSC_CHECK(free_links_ != nullptr);
+    spans_ = reinterpret_cast<SpanRecord*>(
+        RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(SpanRecord)));
+    WSC_CHECK(spans_ != nullptr);
+    // A small page's directory entry packs its class and its offset in
+    // the span below the flag bits; span records hold the owner shard in
+    // a byte.
+    WSC_CHECK_LT(num_classes_, static_cast<int>(kDirClassMask));
+    WSC_CHECK_LE(num_shards_, static_cast<int>(kUnlisted));
+    for (int cls = 0; cls < num_classes_; ++cls) {
+      WSC_CHECK_LE(static_cast<size_t>(size_classes_->pages_per_span(cls)),
+                   size_t{kDirPagesMask >> kDirSpanShift});
+    }
     for (auto& heads : free_heads_) {
       std::fill(std::begin(heads), std::end(heads), kNoPage);
     }
@@ -124,6 +153,8 @@ RealThreadsAllocator::~RealThreadsAllocator() {
     RealMemoryBacking::UnmapMetadata(
         reinterpret_cast<uintptr_t>(free_links_),
         dir_entries_ * sizeof(FreeLink));
+    RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(spans_),
+                                     dir_entries_ * sizeof(SpanRecord));
   }
 }
 
@@ -151,6 +182,19 @@ void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
   for (int cls = 0; cls < num_classes_; ++cls) {
     RealThreadCache::ClassList& list = tc->lists[cls];
     if (real_) {
+      if (list.count == 0) continue;
+      // The home transfer shard takes what it has room for: the next
+      // refill finds the objects there, still warm, without a span walk.
+      TransferShard& ts = transfer_shard(cls, tc->shard);
+      ts.lock.Lock();
+      const uint32_t room = ts.capacity - std::min(ts.capacity, ts.count);
+      for (uint32_t n = std::min(room, list.count); n > 0; --n) {
+        uintptr_t obj = list.head;
+        list.head = *reinterpret_cast<uintptr_t*>(obj);
+        --list.count;
+        PutIntrusive(ts.head, ts.count, &obj, 1);
+      }
+      ts.lock.Unlock();
       while (list.count > 0) {
         int moved = TakeIntrusive(list.head, list.count, buf, kMaxBatch);
         ReturnToCfl(cls, tc->shard, buf, moved);
@@ -241,12 +285,12 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
 
 int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
                                         int want) {
+  if (real_) return RefillFromSpans(cls, shard, out, want);
   WSC_PROF_SCOPE("rt/RefillFromCfl");
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
   ++home.refills;
-  int got = real_ ? TakeIntrusive(home.head, home.count, out, want)
-                  : TakeBack(home.free_objects, out, want);
+  int got = TakeBack(home.free_objects, out, want);
   if (got < want) {
     ++home.refill_stalls;
     // Work-steal from sibling shards before carving fresh address space:
@@ -260,7 +304,7 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
       CflShard& victim = cfl_shard(cls, (shard + probe) % num_shards_);
       ++home.steal_probes;
       if (!victim.lock.TryLock()) continue;
-      size_t avail = real_ ? victim.count : victim.free_objects.size();
+      size_t avail = victim.free_objects.size();
       if (avail > 0) {
         // Take what the batch still needs plus half the surplus, so one
         // steal rebalances the pair instead of ping-ponging per object.
@@ -269,17 +313,10 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
         ++home.steals;
         home.stolen_objects += take;
         for (size_t i = 0; i < take; ++i) {
-          uintptr_t obj = 0;
-          if (real_) {
-            TakeIntrusive(victim.head, victim.count, &obj, 1);
-          } else {
-            obj = victim.free_objects.back();
-            victim.free_objects.pop_back();
-          }
+          uintptr_t obj = victim.free_objects.back();
+          victim.free_objects.pop_back();
           if (got < want) {
             out[got++] = obj;
-          } else if (real_) {
-            PutIntrusive(home.head, home.count, &obj, 1);
           } else {
             home.free_objects.push_back(obj);
           }
@@ -288,10 +325,8 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
       victim.lock.Unlock();
     }
     while (got < want) {
-      if (!CarveSpan(cls, home)) break;  // real-memory reservation dry
-      got += real_
-                 ? TakeIntrusive(home.head, home.count, out + got, want - got)
-                 : TakeBack(home.free_objects, out + got, want - got);
+      CarveSpan(cls, home);
+      got += TakeBack(home.free_objects, out + got, want - got);
     }
   }
   home.lock.Unlock();
@@ -300,60 +335,298 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
 
 void RealThreadsAllocator::ReturnToCfl(int cls, int shard,
                                        const uintptr_t* objs, int count) {
+  if (real_) {
+    ReturnToSpans(cls, objs, count);
+    return;
+  }
   WSC_PROF_SCOPE("rt/ReturnToCfl");
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
-  if (real_) {
-    PutIntrusive(home.head, home.count, objs, count);
-  } else {
-    home.free_objects.insert(home.free_objects.end(), objs, objs + count);
-  }
+  home.free_objects.insert(home.free_objects.end(), objs, objs + count);
   home.lock.Unlock();
 }
 
-bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
+void RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
   WSC_PROF_SCOPE("rt/CarveSpan");
   const SizeClassInfo& info = size_classes_->info(cls);
   size_t span_bytes = LengthToBytes(info.pages_per_span);
-  uintptr_t base;
-  if (real_) {
-    // CAS loop instead of fetch_add so a failed carve does not advance
-    // the bump pointer past the reservation. Acquire pairs with the
-    // release in AddFreeLocked: memory handed back to the frontier is
-    // carved only after its old owner's last writes.
-    base = arena_next_.load(std::memory_order_relaxed);
-    do {
-      if (base + span_bytes > arena_end_) return false;
-    } while (!arena_next_.compare_exchange_weak(base, base + span_bytes,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed));
-    // Publish the size class for every page of the span before the
-    // objects escape via the shard lock, so FreeAddr/UsableSize on any
-    // thread that legitimately receives an object sees the entry.
-    for (size_t p = 0; p < static_cast<size_t>(info.pages_per_span); ++p) {
-      dir_entry(base + (p << kPageShift))
-          .store(static_cast<uint32_t>(cls) + 1, std::memory_order_relaxed);
-    }
-  } else {
-    base = arena_next_.fetch_add(span_bytes, std::memory_order_relaxed);
-    WSC_CHECK_LE(base + span_bytes, arena_end_);
-  }
-  small_carved_bytes_.fetch_add(span_bytes, std::memory_order_relaxed);
+  uintptr_t base = arena_next_.fetch_add(span_bytes, std::memory_order_relaxed);
+  WSC_CHECK_LE(base + span_bytes, arena_end_);
+  small_span_bytes_.fetch_add(span_bytes, std::memory_order_relaxed);
   ++shard.carves;
+  ++shard.arena_carves;
   shard.carved_objects += static_cast<uint64_t>(info.objects_per_span);
-  if (real_) {
-    // Push in reverse so pops hand out ascending addresses, matching the
-    // virtual mode's TakeBack order.
-    for (int i = info.objects_per_span - 1; i >= 0; --i) {
-      uintptr_t obj = base + static_cast<size_t>(i) * info.size;
-      PutIntrusive(shard.head, shard.count, &obj, 1);
-    }
-  } else {
-    for (int i = 0; i < info.objects_per_span; ++i) {
-      shard.free_objects.push_back(base + static_cast<size_t>(i) * info.size);
+  for (int i = 0; i < info.objects_per_span; ++i) {
+    shard.free_objects.push_back(base + static_cast<size_t>(i) * info.size);
+  }
+}
+
+int RealThreadsAllocator::RefillFromSpans(int cls, int shard, uintptr_t* out,
+                                          int want) {
+  WSC_PROF_SCOPE("rt/RefillFromSpans");
+  const int per_span = size_classes_->objects_per_span(cls);
+  CflShard& home = cfl_shard(cls, shard);
+  home.lock.Lock();
+  ++home.refills;
+  int got = TakeFromSpansLocked(home, cls, out, want);
+  if (got < want) {
+    ++home.refill_stalls;
+    // Steal from the siblings' spans before taking a new one (TryLock
+    // only, as in virtual mode). The objects stay with their spans, so
+    // they go back to the victim when freed; only what the batch needs
+    // is taken.
+    for (int probe = 1; probe < num_shards_ && got < want; ++probe) {
+      CflShard& victim = cfl_shard(cls, (shard + probe) % num_shards_);
+      ++home.steal_probes;
+      if (!victim.lock.TryLock()) continue;
+      int took = TakeFromSpansLocked(victim, cls, out + got, want - got);
+      victim.lock.Unlock();
+      if (took > 0) {
+        ++home.steals;
+        home.stolen_objects += static_cast<uint64_t>(took);
+        got += took;
+      }
     }
   }
-  return true;
+  home.lock.Unlock();
+  // New spans come from the page heap with no shard lock held.
+  while (got < want) {
+    bool fresh = false;
+    const uint32_t first = NewSpan(cls, shard, &fresh);
+    if (first == kNoPage) break;  // reservation exhausted
+    // The batch takes the head of the new span's tail; the rest of the
+    // span is filed for later refills.
+    SpanRecord& span = spans_[first];
+    const int take = std::min(want - got, per_span);
+    const uintptr_t base = PageAddr(first);
+    const size_t size = size_classes_->class_size(cls);
+    for (int i = 0; i < take; ++i) {
+      out[got++] = base + static_cast<size_t>(i) * size;
+    }
+    span.tail = static_cast<uint32_t>(take);
+    span.free -= static_cast<uint32_t>(take);
+    home.lock.Lock();
+    ++home.carves;
+    if (fresh) ++home.arena_carves;
+    home.carved_objects += static_cast<uint64_t>(per_span);
+    ++home.spans;
+    home.count += span.free;
+    RelistSpanLocked(home, first, per_span);
+    home.lock.Unlock();
+  }
+  return got;
+}
+
+void RealThreadsAllocator::DetachEmptySpanLocked(CflShard& s,
+                                                 uint32_t per_span) {
+  s.count -= per_span;
+  s.carved_objects -= per_span;
+  --s.spans;
+  ++s.returned_spans;
+}
+
+void RealThreadsAllocator::RelistSpanLocked(CflShard& s, uint32_t first,
+                                            int objects_per_span) {
+  SpanRecord& span = spans_[first];
+  const int out = objects_per_span - static_cast<int>(span.free);
+  uint8_t target = kUnlisted;
+  if (span.free > 0 && out > 0) {
+    // The simulator's index (central_free_list.cc): max(0, (L-1) -
+    // floor(log2(objects out))), so list 0 holds the fullest spans.
+    const int last = CflShard::kOccupancyLists - 1;
+    const int log2_out = std::bit_width(static_cast<unsigned>(out)) - 1;
+    target = static_cast<uint8_t>(std::max(0, last - log2_out));
+  }
+  if (target == span.list) return;
+  if (span.list != kUnlisted) {
+    if (span.prev != kNoPage) {
+      spans_[span.prev].next = span.next;
+    } else {
+      s.span_lists[span.list] = span.next;
+    }
+    if (span.next != kNoPage) spans_[span.next].prev = span.prev;
+  }
+  span.list = target;
+  if (target == kUnlisted) return;
+  uint32_t& head = s.span_lists[target];
+  span.prev = kNoPage;
+  span.next = head;
+  if (head != kNoPage) spans_[head].prev = first;
+  head = first;
+}
+
+int RealThreadsAllocator::TakeFromSpansLocked(CflShard& s, int cls,
+                                              uintptr_t* out, int want) {
+  const SizeClassInfo& info = size_classes_->info(cls);
+  int got = 0;
+  while (got < want) {
+    int list = 0;
+    while (list < CflShard::kOccupancyLists &&
+           s.span_lists[list] == kNoPage) {
+      ++list;
+    }
+    uint32_t first;
+    if (list < CflShard::kOccupancyLists) {
+      first = s.span_lists[list];
+    } else if (s.spare != kNoPage) {
+      first = s.spare;  // the relist below files it with the others
+      s.spare = kNoPage;
+    } else {
+      break;
+    }
+    SpanRecord& span = spans_[first];
+    const int before = got;
+    // Freed objects first (their lines were touched recently), then the
+    // tail, which is untouched until now.
+    while (got < want && span.freelist != 0) {
+      out[got++] = span.freelist;
+      span.freelist = *reinterpret_cast<uintptr_t*>(span.freelist);
+    }
+    const uintptr_t base = PageAddr(first);
+    while (got < want &&
+           span.tail < static_cast<uint32_t>(info.objects_per_span)) {
+      out[got++] = base + static_cast<size_t>(span.tail++) * info.size;
+    }
+    span.free -= static_cast<uint32_t>(got - before);
+    RelistSpanLocked(s, first, info.objects_per_span);
+  }
+  s.count -= static_cast<uint32_t>(got);
+  return got;
+}
+
+void RealThreadsAllocator::ReturnToSpans(int cls, const uintptr_t* objs,
+                                         int count) {
+  WSC_PROF_SCOPE("rt/ReturnToSpans");
+  WSC_DCHECK_LE(count, kMaxBatch);
+  const uint32_t per_span =
+      static_cast<uint32_t>(size_classes_->objects_per_span(cls));
+  uint32_t firsts[kMaxBatch];
+  for (int i = 0; i < count; ++i) {
+    const size_t page = PageOf(objs[i]);
+    const uint32_t entry = dir_[page].load(std::memory_order_relaxed);
+    WSC_DCHECK_EQ(static_cast<int>(entry & kDirClassMask), cls + 1);
+    firsts[i] = static_cast<uint32_t>(page - (entry >> kDirSpanShift));
+  }
+  uint32_t empties[kMaxBatch];
+  int num_empty = 0;
+  static_assert(kMaxBatch <= 64, "one pending bit per object");
+  uint64_t pending = count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
+  while (pending != 0) {
+    // One lock per owner shard: the lowest pending object's owner, then
+    // every other pending object with the same owner.
+    const uint8_t owner = spans_[firsts[std::countr_zero(pending)]].shard;
+    CflShard& s = cfl_shard(cls, owner);
+    s.lock.Lock();
+    for (uint64_t rest = pending; rest != 0; rest &= rest - 1) {
+      const int i = std::countr_zero(rest);
+      SpanRecord& span = spans_[firsts[i]];
+      if (span.shard != owner) continue;
+      pending &= ~(uint64_t{1} << i);
+      *reinterpret_cast<uintptr_t*>(objs[i]) = span.freelist;
+      span.freelist = objs[i];
+      ++span.free;
+      ++s.count;
+      RelistSpanLocked(s, firsts[i], static_cast<int>(per_span));
+      if (span.free < per_span) continue;
+      // Every object is home. The span (already off the lists) stays as
+      // the spare if the shard has none; otherwise it leaves the shard.
+      if (s.spare == kNoPage) {
+        s.spare = firsts[i];
+        continue;
+      }
+      DetachEmptySpanLocked(s, per_span);
+      empties[num_empty++] = firsts[i];
+    }
+    s.lock.Unlock();
+  }
+  if (num_empty > 0) DeleteSpans(cls, empties, num_empty);
+}
+
+uint32_t RealThreadsAllocator::NewSpan(int cls, int shard, bool* fresh) {
+  WSC_PROF_SCOPE("rt/NewSpan");
+  const SizeClassInfo& info = size_classes_->info(cls);
+  const size_t pages = static_cast<size_t>(info.pages_per_span);
+  uintptr_t base;
+  {
+    // Best fit from the free ranges, so a span never splits a large
+    // range while a smaller one fits; resident first (reuse adds no
+    // resident memory), then released, then the frontier.
+    std::lock_guard<std::mutex> guard(large_mu_);
+    base = TakeFreeLocked(pages, kPageSize, /*released=*/false);
+    if (base == 0) base = TakeFreeLocked(pages, kPageSize, /*released=*/true);
+    *fresh = base == 0;
+    if (base == 0) base = CarveLargeLocked(pages, kPageSize);
+    if (base == 0) return kNoPage;
+  }
+  // The pages are ours: their tags were cleared when the range was taken,
+  // so no free neighbour merges with them while the entries are written.
+  // Published before the objects escape via the shard lock, so
+  // FreeAddr/UsableSize on any thread that legitimately receives an
+  // object sees the entry.
+  const uint32_t first = static_cast<uint32_t>(PageOf(base));
+  for (size_t p = 0; p < pages; ++p) {
+    dir_[first + p].store(static_cast<uint32_t>(p << kDirSpanShift) |
+                              static_cast<uint32_t>(cls + 1),
+                          std::memory_order_relaxed);
+  }
+  SpanRecord& span = spans_[first];
+  span.freelist = 0;
+  span.free = static_cast<uint32_t>(info.objects_per_span);
+  span.tail = 0;
+  span.prev = kNoPage;
+  span.next = kNoPage;
+  span.shard = static_cast<uint8_t>(shard);
+  span.list = kUnlisted;
+  small_span_bytes_.fetch_add(pages << kPageShift, std::memory_order_relaxed);
+  return first;
+}
+
+void RealThreadsAllocator::DeleteSpans(int cls, const uint32_t* firsts,
+                                       int n) {
+  const size_t pages = static_cast<size_t>(size_classes_->pages_per_span(cls));
+  std::lock_guard<std::mutex> guard(large_mu_);
+  for (int i = 0; i < n; ++i) {
+    for (size_t p = 0; p < pages; ++p) {
+      dir_[firsts[i] + p].store(0, std::memory_order_relaxed);
+    }
+    // Resident: the span's objects were written. Its pages merge with
+    // resident free neighbours, large or small alike.
+    AddFreeLocked(firsts[i], pages, /*released=*/false);
+  }
+  small_span_bytes_.fetch_sub(static_cast<uint64_t>(n) * (pages << kPageShift),
+                              std::memory_order_relaxed);
+  MaybeReleaseLocked();
+}
+
+void RealThreadsAllocator::DrainToPageHeap() {
+  uintptr_t buf[kMaxBatch];
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      TransferShard& ts = transfer_shard(cls, shard);
+      for (;;) {
+        ts.lock.Lock();
+        int n = TakeIntrusive(ts.head, ts.count, buf, kMaxBatch);
+        ts.lock.Unlock();
+        if (n == 0) break;
+        ReturnToSpans(cls, buf, n);
+      }
+    }
+    // Only now: a drained object may empty a span of any shard of the
+    // class, which then becomes that shard's spare.
+    const uint32_t per_span =
+        static_cast<uint32_t>(size_classes_->objects_per_span(cls));
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      CflShard& s = cfl_shard(cls, shard);
+      s.lock.Lock();
+      const uint32_t spare = s.spare;
+      if (spare != kNoPage) {
+        s.spare = kNoPage;
+        DetachEmptySpanLocked(s, per_span);
+      }
+      s.lock.Unlock();
+      if (spare != kNoPage) DeleteSpans(cls, &spare, 1);
+    }
+  }
 }
 
 uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
@@ -441,6 +714,10 @@ void RealThreadsAllocator::FreeLargeReal(RealThreadCache* tc, uintptr_t addr,
   std::lock_guard<std::mutex> guard(large_mu_);
   dir_entry(addr).store(0, std::memory_order_relaxed);
   AddFreeLocked(PageOf(addr), pages, /*released=*/false);
+  MaybeReleaseLocked();
+}
+
+void RealThreadsAllocator::MaybeReleaseLocked() {
   size_t unreleased =
       large_unreleased_pages_.load(std::memory_order_relaxed) << kPageShift;
   if (large_release_threshold_bytes_ > 0 &&
@@ -681,6 +958,9 @@ size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
 
 size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
   if (!real_) return 0;
+  // Objects parked in the transfer shards pin their spans; once they are
+  // home, the spans they emptied are free ranges like any other.
+  DrainToPageHeap();
   std::lock_guard<std::mutex> guard(large_mu_);
   return ReleasePendingLocked(bytes);
 }
@@ -783,10 +1063,12 @@ bool RealThreadsAllocator::ResizeLargeInPlace(RealThreadCache* tc,
 }
 
 void RealThreadsAllocator::ForkPrepare() {
-  // Fixed order (the reverse of ForkRelease): registry, large pool,
-  // every shard, then the backing. Holding them all across fork() means
-  // no lock in the child's copy belongs to a thread that no longer
-  // exists.
+  // Fixed order (the reverse of ForkRelease): registry, page heap, every
+  // shard, then the backing. Holding them all across fork() means no lock
+  // in the child's copy belongs to a thread that no longer exists. No
+  // thread holds a shard lock while it waits for large_mu_ (spans move
+  // between the CFL and the page heap with the shard locks dropped), so
+  // taking large_mu_ first cannot deadlock against a refill or a return.
   threads_mu_.lock();
   large_mu_.lock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Lock();
@@ -813,7 +1095,7 @@ void RealThreadsAllocator::FreeAddr(RealThreadCache* tc, uintptr_t addr) {
     FreeLargeReal(tc, addr, entry & kDirPagesMask);
     return;
   }
-  FreeClass(tc, static_cast<int>(entry) - 1, addr);
+  FreeClass(tc, static_cast<int>(entry & kDirClassMask) - 1, addr);
 }
 
 size_t RealThreadsAllocator::UsableSize(uintptr_t addr) const {
@@ -824,7 +1106,8 @@ size_t RealThreadsAllocator::UsableSize(uintptr_t addr) const {
   if (entry & kDirLargeFlag) {
     return static_cast<size_t>(entry & kDirPagesMask) << kPageShift;
   }
-  return size_classes_->class_size(static_cast<int>(entry) - 1);
+  return size_classes_->class_size(static_cast<int>(entry & kDirClassMask) -
+                                   1);
 }
 
 uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
@@ -854,10 +1137,11 @@ uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
 
 size_t RealThreadsAllocator::FootprintBytes() const {
   int64_t large = large_live_bytes_.load(std::memory_order_relaxed);
-  size_t fp = small_carved_bytes_.load(std::memory_order_relaxed) +
+  size_t fp = small_span_bytes_.load(std::memory_order_relaxed) +
               static_cast<size_t>(std::max<int64_t>(0, large));
   if (real_) {
-    // Pending large ranges are freed but still resident until released.
+    // Free page-heap ranges (freed large ranges, returned spans) are
+    // still resident until released.
     fp += large_unreleased_pages_.load(std::memory_order_relaxed)
           << kPageShift;
   }
@@ -921,7 +1205,8 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   uint64_t cfl_acq = 0, cfl_contended = 0;
   uint64_t refills = 0, refill_stalls = 0;
   uint64_t steals = 0, stolen_objects = 0, steal_probes = 0;
-  uint64_t carves = 0, carved_objects = 0;
+  uint64_t carves = 0, arena_carves = 0, carved_objects = 0;
+  uint64_t returned_spans = 0, spans = 0;
   uint64_t cfl_free = 0;
   for (size_t i = 0; i < grid_size_; ++i) {
     const CflShard& cs = cfl_[i];
@@ -933,7 +1218,10 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     stolen_objects += cs.stolen_objects;
     steal_probes += cs.steal_probes;
     carves += cs.carves;
+    arena_carves += cs.arena_carves;
     carved_objects += cs.carved_objects;
+    returned_spans += cs.returned_spans;
+    spans += cs.spans;
     cfl_free += cs.free_objects.size() + cs.count;
   }
 
@@ -943,6 +1231,8 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportCounter("allocator", "frees", frees);
   registry.ExportCounter("allocator", "large_allocations", large_allocations);
   registry.ExportCounter("allocator", "large_frees", large_frees);
+  // Objects of the spans the CFL owns now (carved minus returned): at
+  // quiescence every one of them is cached somewhere.
   registry.ExportCounter("allocator", "carved_objects", carved_objects);
   registry.ExportGauge("allocator", "live_objects",
                        static_cast<double>(allocations - frees));
@@ -1001,8 +1291,8 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportCounter("contention", "stolen_objects", stolen_objects);
   registry.ExportCounter("contention", "steal_probes", steal_probes);
   registry.ExportCounter("contention", "arena_carves",
-                         carves + large_carves_.load(
-                                      std::memory_order_relaxed));
+                         arena_carves + large_carves_.load(
+                                            std::memory_order_relaxed));
 
   // Real-memory-only extras: backing release/commit traffic and the
   // pending large pool. Exported only in real mode so virtual-mode
@@ -1029,6 +1319,8 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     registry.ExportCounter(
         "allocator", "large_inplace_resizes",
         large_inplace_resizes_.load(std::memory_order_relaxed));
+    registry.ExportCounter("sharded_cfl", "returned_spans", returned_spans);
+    registry.ExportGauge("sharded_cfl", "spans", static_cast<double>(spans));
   }
   return registry.TakeSnapshot();
 }

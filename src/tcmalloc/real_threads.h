@@ -20,11 +20,12 @@
 //    (AllocatorBench) documents the trap where sharding only the
 //    size-class freelist locks moves the bottleneck to a global refill
 //    lock and scaling stays flat. Here BOTH the transfer cache and the
-//    CFL-equivalent free store are sharded by (size class x shard), a
-//    miss on the home shard work-steals from sibling shards before
-//    carving fresh address space, and the final carve is a single
-//    atomic fetch_add on the arena bump pointer — there is no global
-//    lock anywhere on the refill path.
+//    central free list are sharded by (size class x shard), and a miss
+//    on the home shard work-steals from sibling shards before it takes a
+//    new span. In virtual mode the new span is a single atomic fetch_add
+//    on the arena bump pointer, so no global lock sits anywhere on the
+//    refill path; in real mode it comes from the page heap under its
+//    lock, which only span turnover (not every refill) reaches.
 //
 //  * Every hot per-thread / per-shard structure is alignas(64) so two
 //    threads' hot state never share a cache line; static_asserts below
@@ -39,14 +40,19 @@
 //    need to race-check. Freelists are side-table vectors.
 //
 //  * Real (AllocatorConfig::Builder::WithRealMemory()): one contiguous
-//    MAP_NORESERVE reservation, hinted MADV_HUGEPAGE. Freelists thread
-//    through the objects themselves (the link is the object's first
-//    word), a per-page atomic directory recovers size classes for the
-//    malloc shim's unsized free/usable_size, and freed large ranges go
-//    to a coalescing page-run heap whose metadata lives entirely outside
-//    the freed memory (boundary tags in the directory, list links in a
-//    side array). ReleaseMemoryToSystem() madvises whole free ranges back
-//    to the OS. Exhaustion returns 0 (the shim turns that into ENOMEM)
+//    MAP_NORESERVE reservation, hinted MADV_HUGEPAGE. Thread-cache and
+//    transfer freelists thread through the objects themselves (the link
+//    is the object's first word). The central free list owns spans, as in
+//    the paper's §4.3: each span has a record in a side array, hands out
+//    objects from its own freelist and an unused-tail cursor, is refilled
+//    from fullest first, and goes back to the page heap once every object
+//    is free. A per-page atomic directory maps every page to its span (or
+//    large range), so the malloc shim's unsized free/usable_size work from
+//    the address alone. Freed large ranges and empty spans share one
+//    coalescing page-run heap whose metadata lives entirely outside the
+//    freed memory (boundary tags in the directory, list links in a side
+//    array). ReleaseMemoryToSystem() madvises whole free ranges back to
+//    the OS. Exhaustion returns 0 (the shim turns that into ENOMEM)
 //    instead of the virtual mode's CHECK.
 //
 // Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache", and
@@ -129,7 +135,9 @@ class ContendedLock {
 
 // One (size class x shard) slice of the transfer cache: a bounded stack of
 // free objects batches move through between thread caches and the CFL
-// store. All fields behind `lock`.
+// store. The insert/remove counters count thread-cache spills and refills;
+// a real-mode cache flush and a release drain move objects without
+// counting. All fields behind `lock`.
 struct alignas(kCacheLineSize) TransferShard {
   ContendedLock lock;
   uint32_t capacity = 0;  // max cached objects; set at construction
@@ -147,25 +155,38 @@ struct alignas(kCacheLineSize) TransferShard {
   uint64_t remove_misses = 0;  // removes that found the shard empty
 };
 
-// One (size class x shard) slice of the central free store (the
-// CFL-equivalent): the free objects of spans carved for this shard, plus
-// the refill/steal/carve counters the "contention" component reports.
-// All fields behind `lock` (stolen objects move victim->thief while both
-// locks are held).
+// One (size class x shard) slice of the central free list, plus the
+// refill/steal/carve counters the "contention" component reports. Virtual
+// mode keeps loose free objects in `free_objects`. Real mode owns spans: a
+// span stays with the shard that carved it until it is returned empty,
+// its free objects sit on the span's own freelist (see SpanRecord in
+// RealThreadsAllocator), and the spans with a free object are kept in
+// kOccupancyLists lists by how many objects they have out, fullest first.
+// The shard also keeps its latest empty span back as a spare, so a class
+// whose use hovers at a span boundary does not trade the same span with
+// the page heap on every refill and flush. All fields behind `lock` (a
+// steal takes objects from the victim's spans while both locks are held).
 struct alignas(kCacheLineSize) CflShard {
+  static constexpr int kOccupancyLists = 8;  // the paper's L
+
   ContendedLock lock;
   std::vector<uintptr_t> free_objects;  // virtual mode
-  // Real mode: intrusive freelist (see TransferShard).
-  uintptr_t head = 0;
-  uint32_t count = 0;
+  // Real mode: first pages of the spans heading each occupancy list
+  // (index 0: most objects out), or ~0u when the list is empty.
+  uint32_t span_lists[kOccupancyLists];
+  uint32_t spare = ~0u;  // real mode: an empty span kept back, or ~0u
+  uint32_t count = 0;    // real mode: free objects over the owned spans
+  uint32_t spans = 0;    // real mode: spans owned now, the spare included
 
   uint64_t refills = 0;         // batch requests served
   uint64_t refill_stalls = 0;   // home shard could not cover the batch
   uint64_t steals = 0;          // successful cross-shard grabs
   uint64_t stolen_objects = 0;
   uint64_t steal_probes = 0;    // sibling shards probed (incl. failures)
-  uint64_t carves = 0;          // fresh spans carved from the arena
-  uint64_t carved_objects = 0;
+  uint64_t carves = 0;          // spans taken from the page heap
+  uint64_t arena_carves = 0;    // of those, carved at the bump frontier
+  uint64_t carved_objects = 0;  // objects of the spans owned now
+  uint64_t returned_spans = 0;  // real mode: spans returned empty
 };
 
 // Per-thread cache: the lock-free fast path. Owned and written by exactly
@@ -247,7 +268,9 @@ class RealThreadsAllocator {
   RealThreadCache* RegisterThread();
 
   // Returns every object cached by `tc` to the middle end. Must be called
-  // by the owning thread or after it joined.
+  // by the owning thread or after it joined. Real mode fills the home
+  // transfer shard up to its capacity first, as a spill does, and returns
+  // the rest to their spans.
   void FlushThreadCache(RealThreadCache* tc);
 
   // Lock-free on the fast path: per-thread list hit costs a LUT load and
@@ -336,9 +359,10 @@ class RealThreadsAllocator {
 
   // Unsized free: the page directory recovers the size class (or large
   // range length) from the address alone. Unknown addresses inside the
-  // reservation, and addresses inside a free large range, are ignored
-  // (defensive: a double free of a large range whose directory entry was
-  // already cleared must not corrupt the allocator). Real mode only.
+  // reservation, and addresses inside a free range (a freed large range
+  // or a span returned to the page heap), are ignored (defensive: a
+  // double free whose directory entry was already cleared must not
+  // corrupt the allocator). Real mode only.
   void FreeAddr(RealThreadCache* tc, uintptr_t addr);
 
   // malloc_usable_size: the full capacity of the block `addr` points at,
@@ -377,10 +401,14 @@ class RealThreadsAllocator {
   // exhaustion. Real mode only.
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
-  // madvises pending (freed, not yet released) large ranges back to the
-  // OS, whole ranges and largest first, until at least `bytes` are
-  // confirmed or none is left; returns the bytes newly released as
-  // confirmed by the backing. Virtual mode returns 0.
+  // Drains every transfer shard into its spans and hands every shard's
+  // spare span back (so no empty span stays out of the page heap), then
+  // madvises free page-heap ranges — freed large ranges and returned
+  // spans alike — back to the OS, whole ranges and largest first, until
+  // at least `bytes` are confirmed or none is left. Returns the bytes
+  // newly released as confirmed by the backing. Thread caches are not
+  // drained: flush them first (FlushThreadCache) to free what they pin.
+  // Virtual mode returns 0.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
   BackendKind backend_kind() const {
@@ -390,14 +418,15 @@ class RealThreadsAllocator {
   // and release/commit stats.
   const MemoryBacking* backing() const { return backing_.get(); }
 
-  // One free range of the real-memory large heap.
+  // One free range of the real-memory page heap.
   struct LargeFreeRange {
     uintptr_t addr;
     size_t pages;
     bool released;  // madvised or never touched: reads as zeros
   };
-  // The free large ranges in address order, read from the free lists
-  // (tests and debugging; takes the large-path lock). Real mode only.
+  // The free page-heap ranges (freed large ranges and returned spans) in
+  // address order, read from the free lists (tests and debugging; takes
+  // the page-heap lock). Real mode only.
   std::vector<LargeFreeRange> LargeFreeRanges();
 
   // Pending large bytes above this watermark trigger an eager release on
@@ -412,7 +441,9 @@ class RealThreadsAllocator {
   // so the child inherits them all in a known, consistent state;
   // ForkRelease() (parent and child hooks) drops them again. Without
   // this, a fork racing another thread's refill leaves a shard lock held
-  // forever in the child.
+  // forever in the child. The order is safe because no path waits for
+  // large_mu_ while it holds a shard lock, or for a shard lock while it
+  // holds large_mu_ (see "Lock order" below).
   void ForkPrepare();
   void ForkRelease();
 
@@ -423,10 +454,12 @@ class RealThreadsAllocator {
     return arena_next_.load(std::memory_order_relaxed) - arena_base_;
   }
 
-  // Bytes held from the "OS": small-object spans ever carved (spans are
-  // never returned, like a cache-everything TCMalloc) plus live large
-  // objects (freed large ranges are returned to the virtual OS
-  // immediately). Quiescent.
+  // Bytes held from the "OS": the small-object spans the CFL owns now
+  // plus live large objects. In real mode, also the free page-heap ranges
+  // not yet released (freed large ranges and returned spans stay
+  // resident until ReleaseMemoryToSystem or the eager watermark). Virtual
+  // mode never returns spans, and its freed large ranges go back to the
+  // virtual OS immediately. Quiescent.
   size_t FootprintBytes() const;
 
   // Quiescent: call only after all worker threads joined (the join is the
@@ -457,6 +490,10 @@ class RealThreadsAllocator {
   // Releases whole resident free ranges, largest first, until
   // `want_bytes` are confirmed or none is left. Caller holds large_mu_.
   size_t ReleasePendingLocked(size_t want_bytes);
+  // The eager release: once more than large_release_threshold_bytes_ of
+  // free ranges are resident, releases down to half the watermark.
+  // Caller holds large_mu_.
+  void MaybeReleaseLocked();
 
   // ---- The free-range heap (all *Locked: caller holds large_mu_) ----
   // Adds the free run [page, page+pages) in state `released`: merges it
@@ -492,21 +529,60 @@ class RealThreadsAllocator {
   }
 
   // Fills out[0..want) from the CFL layer: home shard first, then
-  // work-stealing probes of the siblings, then fresh carves. Returns the
+  // work-stealing probes of the siblings, then fresh spans. Returns the
   // number filled (always == want in virtual mode — the virtual arena
   // cannot run dry before the CHECK in CarveSpan fires; real mode can
   // return short, including 0, on exhaustion).
   int RefillFromCfl(int cls, int shard, uintptr_t* out, int want);
 
-  // Returns objects to a CFL shard's free store (transfer overflow or
-  // cache flush).
+  // Returns objects to the CFL layer (transfer overflow, cache flush or
+  // release drain): virtual mode onto `shard`'s free store, real mode
+  // each onto its own span, whatever shard owns it.
   void ReturnToCfl(int cls, int shard, const uintptr_t* objs, int count);
 
-  // Carves one span of `cls` from the arena bump pointer and pushes its
-  // objects onto `shard`'s free store. Caller holds shard.lock; the bump
-  // itself is lock-free. Returns false when the real-memory reservation
-  // is exhausted (the virtual arena CHECKs instead).
-  bool CarveSpan(int cls, CflShard& shard);
+  // Virtual mode: carves one span of `cls` from the arena bump pointer
+  // and pushes its objects onto `shard`'s free store. Caller holds
+  // shard.lock; the bump itself is lock-free. CHECKs on exhaustion.
+  void CarveSpan(int cls, CflShard& shard);
+
+  // ---- Real-mode span-owning CFL ----
+  //
+  // Lock order: a shard lock is never held while large_mu_ is taken, nor
+  // the reverse. Refills take new spans from the page heap with no shard
+  // lock held, and returns collect the spans they empty, unlock, and only
+  // then hand the spans to the page heap. The one nested acquisition is a
+  // steal's TryLock of a sibling shard under the home shard's lock, which
+  // never waits.
+
+  // RefillFromCfl for real mode.
+  int RefillFromSpans(int cls, int shard, uintptr_t* out, int want);
+  // Takes up to `want` objects from `s`'s spans, fullest span first (the
+  // spare last): a span's freelist, then its unused tail. Caller holds
+  // s.lock.
+  int TakeFromSpansLocked(CflShard& s, int cls, uintptr_t* out, int want);
+  // ReturnToCfl for real mode: one lock per owner shard in the batch. A
+  // span it empties becomes its shard's spare if the shard has none, and
+  // otherwise goes to the page heap once the locks are dropped.
+  void ReturnToSpans(int cls, const uintptr_t* objs, int count);
+  // Takes a span of `cls` for `shard` from the page heap (best fit,
+  // resident ranges first, then released ones, then the bump frontier),
+  // points its pages' directory entries at it and initializes its
+  // record. Returns its first page, or kNoPage on exhaustion; sets
+  // *fresh when the span was carved at the frontier. Takes large_mu_.
+  uint32_t NewSpan(int cls, int shard, bool* fresh);
+  // Hands empty spans of `cls` back to the page heap as resident free
+  // ranges and clears their directory entries. Takes large_mu_.
+  void DeleteSpans(int cls, const uint32_t* firsts, int n);
+  // Counts an empty span (already off the lists) out of `s`. Caller holds
+  // s.lock and hands the span to DeleteSpans after unlocking.
+  void DetachEmptySpanLocked(CflShard& s, uint32_t per_span);
+  // Moves a span to the occupancy list its free count calls for, or off
+  // the lists when nothing on it is free or nothing is out (an empty span
+  // is about to leave the shard). Caller holds s.lock.
+  void RelistSpanLocked(CflShard& s, uint32_t first, int objects_per_span);
+  // Pushes every transfer shard's objects back onto their spans, then
+  // hands every shard's spare back to the page heap.
+  void DrainToPageHeap();
 
   // Real mode: the per-page directory entry for `addr`'s page.
   std::atomic<uint32_t>& dir_entry(uintptr_t addr) const {
@@ -537,24 +613,27 @@ class RealThreadsAllocator {
   uintptr_t arena_base_ = 0;
   uintptr_t arena_end_ = 0;
   std::atomic<uintptr_t> arena_next_{0};
-  std::atomic<uint64_t> small_carved_bytes_{0};
+  std::atomic<uint64_t> small_span_bytes_{0};  // spans the CFL owns now
   std::atomic<int64_t> large_live_bytes_{0};
   std::atomic<uint64_t> large_carves_{0};
 
   // ---- Real-memory mode state ----
   // Page directory: one entry per 8 KiB page of the reservation.
   //   0                          unknown, or interior of a large range
-  //   cls+1                      page of a small span of size class cls
+  //   offset<<kDirSpanShift      page `offset` pages into a span of size
+  //     |(cls+1)                 class cls (its record: page - offset)
   //   kDirLargeFlag|pages        first page of a live large range
   //   kDirFreeFlag|pages         first AND last page of a free large
   //     [|kDirReleasedFlag]      range (released: madvised or never
   //                              touched, so it reads as zeros)
   // Interior pages of live and free ranges stay 0, and every tag is
   // cleared when its range is allocated, merged away or handed back to
-  // the bump frontier, so no stale tag survives. That is what makes
-  // coalescing O(1): the entry just before a range's first page and the
-  // one just past its last page say whether a free neighbour is there
-  // and how long it is.
+  // the bump frontier (a span's entries when it goes back to the heap),
+  // so no stale tag survives. That is what makes coalescing O(1): the
+  // entry just before a range's first page and the one just past its
+  // last page say whether a free neighbour is there and how long it is.
+  static constexpr uint32_t kDirSpanShift = 8;
+  static constexpr uint32_t kDirClassMask = (1u << kDirSpanShift) - 1;
   static constexpr uint32_t kDirLargeFlag = 0x80000000u;
   static constexpr uint32_t kDirFreeFlag = 0x40000000u;
   static constexpr uint32_t kDirReleasedFlag = 0x20000000u;
@@ -573,13 +652,35 @@ class RealThreadsAllocator {
   std::atomic<uint32_t>* dir_ = nullptr;  // one entry per reservation page
   size_t dir_entries_ = 0;
 
-  // The free-range heap: doubly linked, size-binned free lists, one set
-  // for resident ranges ([0]) and one for released ranges ([1]). The
-  // links live in a NORESERVE side array indexed by page (only a range's
-  // first page uses its slot), never in the freed memory, so a released
-  // range stays untouched until it is allocated again. Guarded by
-  // large_mu_; the counters are atomic only so FootprintBytes and
-  // telemetry can read them without the mutex.
+  // One record per span the CFL owns, in a NORESERVE side array indexed
+  // by the span's first page (so only first pages' slots are touched).
+  // Guarded by the owner shard's lock, except `shard`, which is fixed
+  // from NewSpan until the span is returned: a returner reads it before
+  // locking, and it holds an object of the span, so the span cannot be
+  // returned under it. Nothing lives in the span's memory but
+  // the freelist links of its free objects, and a fresh span's unused
+  // tail is never written until handed out.
+  static constexpr uint8_t kUnlisted = 0xFF;
+  struct SpanRecord {
+    uintptr_t freelist;  // freed objects, linked through their first word
+    uint32_t free;       // free objects: the freelist plus the unused tail
+    uint32_t tail;       // objects [tail, objects_per_span) never handed out
+    uint32_t prev;       // occupancy-list neighbours (first pages), kNoPage
+    uint32_t next;
+    uint8_t shard;  // owner
+    uint8_t list;   // occupancy list, or kUnlisted when nothing is free
+  };
+  static_assert(sizeof(SpanRecord) == 32, "span records pack two per line");
+  SpanRecord* spans_ = nullptr;
+
+  // The free-range heap (the page heap large ranges and spans share):
+  // doubly linked, size-binned free lists, one set for resident ranges
+  // ([0]) and one for released ranges ([1]). The links live in a
+  // NORESERVE side array indexed by page (only a range's first page uses
+  // its slot), never in the freed memory, so a released range stays
+  // untouched until it is allocated again. Guarded by large_mu_; the
+  // counters are atomic only so FootprintBytes and telemetry can read
+  // them without the mutex.
   struct FreeLink {
     uint32_t prev;
     uint32_t next;

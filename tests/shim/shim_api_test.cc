@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -248,6 +249,40 @@ TEST(ShimApi, ReleaseMemoryReturnsConfirmedBytes) {
   EXPECT_EQ(released % 4096, 0u);
   // A second sweep with nothing new freed confirms nothing twice.
   EXPECT_EQ(wscmalloc_release_memory(~size_t{0}), 0u);
+}
+
+size_t FootprintBytes() {
+  char buf[2048];
+  const size_t n = wscmalloc_stats_json(buf, sizeof(buf));
+  const char* field = std::strstr(buf, "\"footprint_bytes\":");
+  if (n == 0 || field == nullptr) return 0;
+  return std::strtoull(field + std::strlen("\"footprint_bytes\":"), nullptr,
+                       10);
+}
+
+TEST(ShimApi, ReleasingFreedSmallBlocksShrinksFootprint) {
+  // 64 MiB in small blocks of several classes, every byte written.
+  constexpr size_t kTotal = size_t{64} << 20;
+  constexpr size_t kSizes[] = {48, 256, 1000, 4096};
+  std::vector<void*> blocks;
+  blocks.reserve(kTotal / 48);
+  size_t bytes = 0;
+  for (size_t i = 0; bytes < kTotal; ++i) {
+    const size_t size = kSizes[i % 4];
+    void* p = malloc(size);
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0x6B, size);
+    blocks.push_back(p);
+    bytes += size;
+  }
+  const size_t peak = FootprintBytes();
+  ASSERT_GE(peak, kTotal);
+  for (void* p : blocks) free(p);
+  // Spans only go back once every object is home: the release flushes
+  // this thread's cache and drains the transfer shards first.
+  EXPECT_GE(wscmalloc_release_memory(~size_t{0}), kTotal / 2);
+  const size_t after = FootprintBytes();
+  EXPECT_LT(after, peak - kTotal / 2) << "peak " << peak;
 }
 
 }  // namespace

@@ -544,8 +544,10 @@ TEST(RealMemoryLargeHeapTest, CallocSkipsMemsetOnlyOnUntouchedRanges) {
   alloc.FreeAddr(tc, guard);
 }
 
-// A seeded stream of large-path operations checked against a reference
-// map of the live ranges, with the heap's invariants checked as it goes.
+// A seeded stream of small and large operations checked against a
+// reference map of the live blocks, with the heap's invariants checked as
+// it goes: spans and large ranges share the page heap, so no free range
+// may overlap a live small object either.
 TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
   RealThreadsAllocator alloc(RealConfig(), 1);
   // A low eager-release watermark, so frees release (and merge released
@@ -561,8 +563,10 @@ TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
   };
   for (int op = 0; op < 3000; ++op) {
     const int kind = static_cast<int>(rng() % 100);
-    if (live.empty() || (kind < 40 && live.size() < 48)) {
-      size_t size = kMaxSmallSize + 1 + rng() % (size_t{2} << 20);
+    if (live.empty() || (kind < 40 && live.size() < 96)) {
+      const bool small = rng() % 2 == 0;
+      size_t size = small ? 1 + rng() % kMaxSmallSize
+                          : kMaxSmallSize + 1 + rng() % (size_t{2} << 20);
       bool known_zero = false;
       uintptr_t p;
       switch (rng() % 4) {
@@ -588,7 +592,9 @@ TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
     } else if (kind < 75) {
       auto it = pick();
       ASSERT_TRUE(StampsIntact(it->first, it->second));
-      if (rng() % 2) {
+      // A sized free names the usable size, which is only unambiguous
+      // above the classes: an aligned small request may hold whole pages.
+      if (rng() % 2 || it->second <= kMaxSmallSize) {
         alloc.FreeAddr(tc, it->first);
       } else {
         alloc.Free(tc, it->first, it->second);
@@ -616,6 +622,8 @@ TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
   }
   live.clear();
   ExpectHeapConsistent(alloc, live);
+  // With the cache flushed, release returns every span too.
+  alloc.FlushThreadCache(tc);
   alloc.ReleaseMemoryToSystem(~size_t{0});
   ExpectHeapConsistent(alloc, live);
   for (const auto& r : alloc.LargeFreeRanges()) EXPECT_TRUE(r.released);
@@ -625,6 +633,9 @@ TEST(RealMemoryLargeHeapTest, RandomOpsMatchReferenceIntervals) {
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
   EXPECT_GT(Metric(snap, "allocator", "large_coalesces"), 0.0);
   EXPECT_GT(Metric(snap, "allocator", "large_inplace_resizes"), 0.0);
+  EXPECT_GT(Metric(snap, "sharded_cfl", "returned_spans"), 0.0);
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 0.0);
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
 }
 
 // Four threads allocating, resizing, releasing and freeing large blocks,
@@ -693,6 +704,270 @@ TEST(RealMemoryLargeHeapTest, FourThreadLargeStorm) {
   EXPECT_EQ(Metric(snap, "allocator", "allocations"),
             Metric(snap, "allocator", "frees"));
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+}
+
+// ---- The span-owning central free list.
+
+// The first size class whose span has at least `min_pages` pages and
+// `min_objects` objects.
+int ClassWithSpan(size_t min_pages, int min_objects) {
+  const SizeClasses& sc = SizeClasses::Default();
+  for (int cls = 0; cls < sc.num_classes(); ++cls) {
+    if (static_cast<size_t>(sc.pages_per_span(cls)) >= min_pages &&
+        sc.objects_per_span(cls) >= min_objects) {
+      return cls;
+    }
+  }
+  return -1;
+}
+
+TEST(RealMemorySpanTest, EmptySpanGoesBackToThePageHeap) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = ClassWithSpan(2, 4);
+  ASSERT_GE(cls, 0);
+  const size_t size = sc.class_size(cls);
+  const size_t span_bytes = LengthToBytes(sc.pages_per_span(cls));
+  const uintptr_t base = alloc.backing()->base();
+
+  // Every object of the first span, which the fresh reservation puts at
+  // its base (refills drain the fuller span first); the last refill may
+  // take a second span for the cache.
+  std::vector<uintptr_t> objs;
+  for (int i = 0; i < sc.objects_per_span(cls); ++i) {
+    uintptr_t p = alloc.Allocate(tc, size);
+    ASSERT_GE(p, base);
+    ASSERT_LE(p + size, base + span_bytes);
+    ASSERT_EQ((p - base) % size, 0u);
+    std::memset(reinterpret_cast<void*>(p), 0x3C, size);
+    objs.push_back(p);
+  }
+  std::sort(objs.begin(), objs.end());
+  ASSERT_EQ(std::unique(objs.begin(), objs.end()), objs.end());
+  // A live block behind the spans keeps them off the bump frontier.
+  const uintptr_t guard = alloc.Allocate(tc, kLargeUnit);
+  const size_t span_pages = (guard - base) >> kPageShift;
+  ASSERT_GE(guard, base + span_bytes);
+
+  for (uintptr_t p : objs) alloc.Free(tc, p, size);
+  alloc.FlushThreadCache(tc);
+  // A zero-byte release still drains the transfer shards and the spare.
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(0), 0u);
+  std::vector<RealThreadsAllocator::LargeFreeRange> ranges =
+      alloc.LargeFreeRanges();
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].addr, base);
+  EXPECT_EQ(ranges[0].pages, span_pages);
+  EXPECT_FALSE(ranges[0].released);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 0.0);
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "returned_spans"),
+            static_cast<double>(span_pages * kPageSize / span_bytes));
+  EXPECT_EQ(Metric(snap, "allocator", "carved_objects"), 0.0);
+  EXPECT_EQ(Metric(snap, "allocator", "cached_objects"), 0.0);
+
+  // Its bytes are released whole, and stale pointers into it, on its
+  // first page or later ones, are no blocks: before and after release.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uintptr_t p : objs) {
+      EXPECT_EQ(alloc.UsableSize(p), 0u);
+      alloc.FreeAddr(tc, p);
+    }
+    if (pass == 0) {
+      EXPECT_EQ(alloc.ReleaseMemoryToSystem(~size_t{0}),
+                span_pages * kPageSize);
+    }
+  }
+  ranges = alloc.LargeFreeRanges();
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_TRUE(ranges[0].released);
+  EXPECT_EQ(*reinterpret_cast<const uint64_t*>(objs.back()), 0u);
+  alloc.FreeAddr(tc, guard);
+  snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+}
+
+TEST(RealMemorySpanTest, RefillTakesTheFullestSpanFirst) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = ClassWithSpan(1, 64);
+  ASSERT_GE(cls, 0);
+  const size_t size = sc.class_size(cls);
+  const int per_span = sc.objects_per_span(cls);
+  const size_t span_bytes = LengthToBytes(sc.pages_per_span(cls));
+  const uintptr_t base = alloc.backing()->base();
+
+  // Two spans' worth: span 0, then span 1, in address order.
+  std::vector<uintptr_t> spans[2];
+  for (int i = 0; i < 2 * per_span; ++i) {
+    uintptr_t p = alloc.Allocate(tc, size);
+    size_t span = (p - base) / span_bytes;
+    ASSERT_LT(span, 2u);
+    spans[span].push_back(p);
+  }
+  ASSERT_EQ(spans[0].size(), static_cast<size_t>(per_span));
+  ASSERT_EQ(spans[1].size(), static_cast<size_t>(per_span));
+  // Span 0 keeps all but one object out, span 1 only one.
+  const uintptr_t from_full = spans[0][per_span / 2];
+  alloc.Free(tc, from_full, size);
+  for (int i = 1; i < per_span; ++i) alloc.Free(tc, spans[1][i], size);
+  // Push the freed objects past the cache and the transfer shard onto
+  // their spans.
+  alloc.FlushThreadCache(tc);
+  alloc.ReleaseMemoryToSystem(0);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 2.0);
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "free_objects"),
+            static_cast<double>(per_span));
+
+  // The next refill starts with the fuller span's one free object; a
+  // front-of-list CFL would hand out span 1's.
+  EXPECT_EQ(alloc.Allocate(tc, size), from_full);
+  alloc.Free(tc, from_full, size);
+  for (int i = 0; i < per_span; ++i) {
+    if (spans[0][i] != from_full) alloc.Free(tc, spans[0][i], size);
+  }
+  alloc.Free(tc, spans[1][0], size);
+  alloc.FlushThreadCache(tc);
+  alloc.ReleaseMemoryToSystem(0);
+  snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 0.0);
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+}
+
+// Exhaustion with one class, then reuse by another: the spans the first
+// class gave back serve the second, and exhaustion fails cleanly both
+// times.
+TEST(RealMemorySpanTest, AnotherClassReusesSpansAfterExhaustion) {
+  AllocatorConfig config =
+      AllocatorConfig::Builder()
+          .WithVcpus(1)
+          .WithRealMemory()
+          .WithRealMemoryReserve(RealMemoryBacking::kMinReserveBytes)
+          .Build();
+  RealThreadsAllocator alloc(config, 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  // All but 8 MiB in one untouched block, so the small classes exhaust
+  // the rest without faulting in the reservation.
+  constexpr size_t kSmallRoom = size_t{8} << 20;
+  const size_t reserved = alloc.backing()->reserved_bytes();
+  const uintptr_t giant = alloc.Allocate(tc, reserved - kSmallRoom);
+  ASSERT_NE(giant, 0u);
+
+  std::vector<uintptr_t> first;
+  for (;;) {
+    uintptr_t p = alloc.Allocate(tc, 64);
+    if (p == 0) break;
+    first.push_back(p);
+    ASSERT_LE(first.size(), kSmallRoom / 64);
+  }
+  EXPECT_GT(first.size() * 64, kSmallRoom / 2);
+  EXPECT_EQ(alloc.Allocate(tc, 64), 0u);
+  EXPECT_EQ(alloc.Allocate(tc, kLargeUnit), 0u);
+  for (uintptr_t p : first) alloc.Free(tc, p, 64);
+  alloc.FlushThreadCache(tc);
+
+  std::vector<uintptr_t> second;
+  for (;;) {
+    uintptr_t p = alloc.Allocate(tc, 1000);
+    if (p == 0) break;
+    std::memset(reinterpret_cast<void*>(p), 0x5D, 1000);
+    second.push_back(p);
+    ASSERT_LE(second.size(), kSmallRoom / 1000);
+  }
+  // Nearly all of the room: only what the transfer shard and the spare
+  // keep of the first class is missing.
+  EXPECT_GT(second.size() * 1024, kSmallRoom * 3 / 4);
+  EXPECT_EQ(alloc.Allocate(tc, 1000), 0u);
+  for (uintptr_t p : second) alloc.FreeAddr(tc, p);
+  alloc.FreeAddr(tc, giant);
+  alloc.FlushThreadCache(tc);
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 0.0);
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
+}
+
+// Four threads allocating and freeing small objects, a quarter freed by
+// another thread: once every cache is flushed and memory released, every
+// span is back in the page heap and nothing is resident.
+TEST(RealMemorySpanTest, FourThreadStormReturnsEverySpan) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20000;
+  RealThreadsAllocator alloc(RealConfig(), kThreads);
+  std::vector<std::pair<uintptr_t, uint64_t>> piles[kThreads];
+  std::mutex piles_mu;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      RealThreadCache* tc = alloc.RegisterThread();
+      std::mt19937_64 rng(11 + t);
+      std::vector<std::pair<uintptr_t, uint64_t>> mine;
+      auto check_and_free = [&](uintptr_t p, uint64_t tag) {
+        EXPECT_EQ(*reinterpret_cast<uint64_t*>(p), tag);
+        alloc.FreeAddr(tc, p);
+      };
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        uint64_t r = rng();
+        if (mine.size() < 256 || r % 2 == 0) {
+          uintptr_t p = alloc.Allocate(tc, 8 + r % 4096);
+          ASSERT_NE(p, 0u);
+          *reinterpret_cast<uint64_t*>(p) = r;
+          if (r % 4 == 0) {
+            std::lock_guard<std::mutex> guard(piles_mu);
+            piles[(t + 1) % kThreads].push_back({p, r});
+          } else {
+            mine.push_back({p, r});
+          }
+        } else {
+          size_t victim = r % mine.size();
+          check_and_free(mine[victim].first, mine[victim].second);
+          mine[victim] = mine.back();
+          mine.pop_back();
+        }
+        if (op % 256 == 255) {
+          std::vector<std::pair<uintptr_t, uint64_t>> handed;
+          {
+            std::lock_guard<std::mutex> guard(piles_mu);
+            handed.swap(piles[t]);
+          }
+          for (auto [p, tag] : handed) check_and_free(p, tag);
+        }
+      }
+      for (auto [p, tag] : mine) check_and_free(p, tag);
+      alloc.FlushThreadCache(tc);
+    });
+  }
+  for (auto& w : workers) w.join();
+  RealThreadCache* main_tc = alloc.RegisterThread();
+  for (auto& pile : piles) {
+    for (auto [p, tag] : pile) alloc.FreeAddr(main_tc, p);
+  }
+  alloc.FlushThreadCache(main_tc);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "carved_objects"),
+            Metric(snap, "allocator", "cached_objects"));
+
+  const size_t footprint = alloc.FootprintBytes();
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(~size_t{0}), footprint);
+  snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+  EXPECT_GT(Metric(snap, "sharded_cfl", "returned_spans"), 0.0);
+  EXPECT_EQ(Metric(snap, "sharded_cfl", "spans"), 0.0);
+  EXPECT_EQ(Metric(snap, "allocator", "carved_objects"), 0.0);
+  EXPECT_EQ(Metric(snap, "allocator", "cached_objects"), 0.0);
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
+  for (const auto& r : alloc.LargeFreeRanges()) EXPECT_TRUE(r.released);
 }
 
 }  // namespace

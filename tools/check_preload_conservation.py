@@ -9,7 +9,14 @@ scopes its harness containers accordingly), so the deltas must balance
 exactly: a shortfall means the shim lost frees (leak), an excess means it
 double-counted.
 
-Usage: check_preload_conservation.py <stats.json> [min_ops]
+With --footprint-falls the sidecar must also hold a "peak" snapshot and a
+"released" one taken after wscmalloc_release_memory (bench/preload/
+bench_frag writes both), and the released footprint_bytes must be below
+the peak's: memory the program freed has to leave the footprint once it
+is released.
+
+Usage: check_preload_conservation.py [--footprint-falls] <stats.json>
+                                     [min_ops]
 
 Self-test: check_preload_conservation.py --self-test
 """
@@ -19,20 +26,20 @@ import sys
 
 
 def parse(path):
-    pre = post = None
+    """Returns {phase: stats}: the first "pre", the last of every other."""
+    phases = {}
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            if rec["phase"] == "pre" and pre is None:
-                pre = rec["stats"]
-            elif rec["phase"] == "post":
-                post = rec["stats"]
-    if pre is None or post is None:
+            if rec["phase"] == "pre" and "pre" in phases:
+                continue
+            phases[rec["phase"]] = rec["stats"]
+    if "pre" not in phases or "post" not in phases:
         sys.exit(f"FAIL: {path} lacks pre/post snapshots")
-    return pre, post
+    return phases
 
 
 def check(pre, post, min_ops):
@@ -50,6 +57,17 @@ def check(pre, post, min_ops):
     return d_alloc
 
 
+def check_footprint_falls(phases):
+    if "peak" not in phases or "released" not in phases:
+        sys.exit("FAIL: --footprint-falls needs peak and released snapshots")
+    peak = phases["peak"]["footprint_bytes"]
+    released = phases["released"]["footprint_bytes"]
+    if released >= peak:
+        sys.exit(f"FAIL: footprint_bytes {released} after the release is "
+                 f"not below the peak {peak}")
+    return peak, released
+
+
 def self_test():
     ok_pre = {"allocations": 10, "frees": 7, "live_bytes": 100}
     ok_post = {"allocations": 1010, "frees": 1007, "live_bytes": 100}
@@ -65,20 +83,42 @@ def self_test():
         except SystemExit:
             continue
         raise AssertionError(f"self-test: {why} not caught")
+
+    ok = {"peak": {"footprint_bytes": 1 << 30},
+          "released": {"footprint_bytes": 1 << 20}}
+    assert check_footprint_falls(ok) == (1 << 30, 1 << 20)
+    for bad, why in [
+        ({"peak": {"footprint_bytes": 1 << 30},
+          "released": {"footprint_bytes": 1 << 30}}, "footprint kept"),
+        ({"peak": {"footprint_bytes": 1 << 30}}, "no released snapshot"),
+    ]:
+        try:
+            check_footprint_falls(bad)
+        except SystemExit:
+            continue
+        raise AssertionError(f"self-test: {why} not caught")
     print("check_preload_conservation: self-test OK")
 
 
 def main():
-    if len(sys.argv) >= 2 and sys.argv[1] == "--self-test":
+    args = sys.argv[1:]
+    if args[:1] == ["--self-test"]:
         self_test()
         return
-    if len(sys.argv) < 2:
+    footprint_falls = args[:1] == ["--footprint-falls"]
+    if footprint_falls:
+        args = args[1:]
+    if not args:
         sys.exit(__doc__)
-    min_ops = int(sys.argv[2]) if len(sys.argv) > 2 else 1
-    pre, post = parse(sys.argv[1])
-    ops = check(pre, post, min_ops)
+    min_ops = int(args[1]) if len(args) > 1 else 1
+    phases = parse(args[0])
+    ops = check(phases["pre"], phases["post"], min_ops)
     print(f"check_preload_conservation: OK ({ops} allocations == frees, "
-          f"live_bytes stable at {post['live_bytes']})")
+          f"live_bytes stable at {phases['post']['live_bytes']})")
+    if footprint_falls:
+        peak, released = check_footprint_falls(phases)
+        print(f"check_preload_conservation: OK (footprint_bytes {peak} at "
+              f"the peak -> {released} after the release)")
 
 
 if __name__ == "__main__":
