@@ -9,11 +9,15 @@
 // madvise(MADV_DONTNEED); under glibc it calls malloc_trim(0), so the
 // rss_after_release column is the interesting comparison. With --out-dir
 // the shim stats sidecar gets "pre", "peak", "released" and "post"
-// snapshots; everything allocated after "pre" is freed before "post".
+// snapshots; everything allocated after "pre" is freed before "post", and
+// "released" also records the bytes of the large blocks the checkerboard
+// freed, so a check can tell the small spans the release returned apart
+// from the freed large blocks.
 
 #include <malloc.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -22,14 +26,17 @@
 
 namespace {
 
+// Above kMaxSmallSize (256 KiB), so these take the page-heap large path.
+constexpr size_t kLargeSize = size_t{512} * 1024;
+
 size_t PickSize(wsc_preload::Rng& rng) {
   const uint64_t r = rng.Next();
-  // 90% small-class objects, 10% above kMaxSmallSize (256 KiB) so they
-  // take the page-heap large path. A checkerboard free leaves nearly
-  // every small span partly live, so in wscmalloc most of what the
-  // release returns comes from the freed large blocks.
+  // 90% small-class objects, 10% large. A checkerboard free leaves most
+  // small spans partly live, so in wscmalloc most of what the release
+  // returns comes from the freed large blocks; the rest is the small
+  // spans whose objects all died.
   if (r % 100 < 90) return 64u << ((r >> 8) % 7);  // 64 B .. 4 KiB
-  return size_t{512} * 1024;
+  return kLargeSize;
 }
 
 }  // namespace
@@ -43,6 +50,7 @@ int main(int argc, char** argv) {
   const size_t population = static_cast<size_t>(flags.ops);
   size_t rss_peak, rss_after_free, rss_after_release;
   size_t released = 0;
+  size_t freed_large_bytes = 0;  // of the checkerboard's frees
   {
     std::vector<void*> objs(population, nullptr);
     Rng rng(flags.seed);
@@ -51,6 +59,7 @@ int main(int argc, char** argv) {
       objs[i] = std::malloc(size);
       if (objs[i] == nullptr) std::abort();
       std::memset(objs[i], 0xEE, size);  // fault everything in
+      if (i % 2 == 0 && size == kLargeSize) freed_large_bytes += size;
     }
     rss_peak = ReadRssBytes();
     AppendShimStats(flags, "frag", shim, "peak");
@@ -69,7 +78,10 @@ int main(int argc, char** argv) {
       malloc_trim(0);
     }
     rss_after_release = ReadRssBytes();
-    AppendShimStats(flags, "frag", shim, "released");
+    char extra[64];  // on the stack: the snapshot must not allocate
+    std::snprintf(extra, sizeof(extra), "\"freed_large_bytes\":%zu",
+                  freed_large_bytes);
+    AppendShimStats(flags, "frag", shim, "released", extra);
 
     for (size_t i = 1; i < population; i += 2) std::free(objs[i]);
   }

@@ -174,12 +174,15 @@ inline void EmitReport(const PreloadFlags& flags, const char* bench,
   }
 }
 
-// Appends one {"phase":...,<shim stats>} line to DIR/<bench>.stats.json.
-// No-op on glibc or without --out-dir. CI diffs the pre/post snapshots to
-// assert the allocation/free delta balances (and, for bench_frag, that
-// the "released" footprint is below the "peak" one).
+// Appends one {"phase":...,<extra>,"stats":<shim stats>} line to
+// DIR/<bench>.stats.json; `extra` is empty or JSON members of the bench's
+// own ("\"key\":value"). No-op on glibc or without --out-dir. CI diffs
+// the pre/post snapshots to assert the allocation/free delta balances
+// (and, for bench_frag, that the release shrinks the footprint by more
+// than the large blocks it freed).
 inline void AppendShimStats(const PreloadFlags& flags, const char* bench,
-                            const ShimApi& api, const char* phase) {
+                            const ShimApi& api, const char* phase,
+                            const char* extra = "") {
   if (!api.active() || api.stats_json == nullptr || flags.out_dir.empty()) {
     return;
   }
@@ -188,7 +191,8 @@ inline void AppendShimStats(const PreloadFlags& flags, const char* bench,
   if (n == 0 || n >= sizeof(buf)) return;
   const std::string path = flags.out_dir + "/" + bench + ".stats.json";
   if (FILE* f = std::fopen(path.c_str(), "a")) {
-    std::fprintf(f, "{\"phase\":\"%s\",\"stats\":%s}\n", phase, buf);
+    std::fprintf(f, "{\"phase\":\"%s\",%s%s\"stats\":%s}\n", phase,
+                 extra, *extra == '\0' ? "" : ",", buf);
     std::fclose(f);
   }
 }

@@ -1,7 +1,5 @@
 #include "tcmalloc/central_free_list.h"
 
-#include <bit>
-
 #include "common/logging.h"
 #include "profiler/self_profiler.h"
 
@@ -30,13 +28,7 @@ CentralFreeList::~CentralFreeList() {
 int CentralFreeList::ListIndexFor(int live) const {
   if (num_lists_ == 1) return 0;
   if (live <= 0) return num_lists_ - 1;
-  // Paper: index = max(0, L - log2(A)); with zero-based lists this is
-  // max(0, (L-1) - floor(log2(A))), so spans with fewer live allocations
-  // land in higher-indexed lists and fine granularity is preserved at the
-  // low-occupancy end (spans with 132 or 255 live allocations share a list).
-  int log2_live = std::bit_width(static_cast<unsigned>(live)) - 1;
-  int idx = (num_lists_ - 1) - log2_live;
-  return idx < 0 ? 0 : idx;
+  return OccupancyListIndex(live, num_lists_);
 }
 
 void CentralFreeList::Relist(Span* span) {

@@ -12,6 +12,7 @@
 #ifndef WSC_TCMALLOC_CENTRAL_FREE_LIST_H_
 #define WSC_TCMALLOC_CENTRAL_FREE_LIST_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,18 @@
 #include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
+
+// Occupancy list index for a span with `live` allocated objects (live >= 1)
+// among `num_lists` lists. Paper: index = max(0, L - log2(A)); with
+// zero-based lists this is max(0, (L-1) - floor(log2(A))), so spans with
+// fewer live allocations land in higher-indexed lists and fine granularity
+// is preserved at the low-occupancy end (spans with 132 or 255 live
+// allocations share a list).
+inline int OccupancyListIndex(int live, int num_lists) {
+  const int log2_live = std::bit_width(static_cast<unsigned>(live)) - 1;
+  const int idx = (num_lists - 1) - log2_live;
+  return idx < 0 ? 0 : idx;
+}
 
 // Where central free lists obtain and return spans (implemented by the
 // page heap).

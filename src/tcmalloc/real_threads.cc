@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "tcmalloc/central_free_list.h"
+
 namespace wsc::tcmalloc {
 
 namespace {
@@ -417,25 +419,15 @@ int RealThreadsAllocator::RefillFromSpans(int cls, int shard, uintptr_t* out,
   return got;
 }
 
-void RealThreadsAllocator::DetachEmptySpanLocked(CflShard& s,
-                                                 uint32_t per_span) {
-  s.count -= per_span;
-  s.carved_objects -= per_span;
-  --s.spans;
-  ++s.returned_spans;
-}
-
 void RealThreadsAllocator::RelistSpanLocked(CflShard& s, uint32_t first,
                                             int objects_per_span) {
   SpanRecord& span = spans_[first];
   const int out = objects_per_span - static_cast<int>(span.free);
   uint8_t target = kUnlisted;
   if (span.free > 0 && out > 0) {
-    // The simulator's index (central_free_list.cc): max(0, (L-1) -
-    // floor(log2(objects out))), so list 0 holds the fullest spans.
-    const int last = CflShard::kOccupancyLists - 1;
-    const int log2_out = std::bit_width(static_cast<unsigned>(out)) - 1;
-    target = static_cast<uint8_t>(std::max(0, last - log2_out));
+    // The simulator's rule: list 0 holds the fullest spans.
+    target = static_cast<uint8_t>(
+        OccupancyListIndex(out, CflShard::kOccupancyLists));
   }
   if (target == span.list) return;
   if (span.list != kUnlisted) {
@@ -465,15 +457,8 @@ int RealThreadsAllocator::TakeFromSpansLocked(CflShard& s, int cls,
            s.span_lists[list] == kNoPage) {
       ++list;
     }
-    uint32_t first;
-    if (list < CflShard::kOccupancyLists) {
-      first = s.span_lists[list];
-    } else if (s.spare != kNoPage) {
-      first = s.spare;  // the relist below files it with the others
-      s.spare = kNoPage;
-    } else {
-      break;
-    }
+    if (list == CflShard::kOccupancyLists) break;
+    const uint32_t first = s.span_lists[list];
     SpanRecord& span = spans_[first];
     const int before = got;
     // Freed objects first (their lines were touched recently), then the
@@ -528,13 +513,12 @@ void RealThreadsAllocator::ReturnToSpans(int cls, const uintptr_t* objs,
       ++s.count;
       RelistSpanLocked(s, firsts[i], static_cast<int>(per_span));
       if (span.free < per_span) continue;
-      // Every object is home. The span (already off the lists) stays as
-      // the spare if the shard has none; otherwise it leaves the shard.
-      if (s.spare == kNoPage) {
-        s.spare = firsts[i];
-        continue;
-      }
-      DetachEmptySpanLocked(s, per_span);
+      // Every object is home: the span (already off the lists) leaves
+      // the shard.
+      s.count -= per_span;
+      s.carved_objects -= per_span;
+      --s.spans;
+      ++s.returned_spans;
       empties[num_empty++] = firsts[i];
     }
     s.lock.Unlock();
@@ -610,21 +594,6 @@ void RealThreadsAllocator::DrainToPageHeap() {
         if (n == 0) break;
         ReturnToSpans(cls, buf, n);
       }
-    }
-    // Only now: a drained object may empty a span of any shard of the
-    // class, which then becomes that shard's spare.
-    const uint32_t per_span =
-        static_cast<uint32_t>(size_classes_->objects_per_span(cls));
-    for (int shard = 0; shard < num_shards_; ++shard) {
-      CflShard& s = cfl_shard(cls, shard);
-      s.lock.Lock();
-      const uint32_t spare = s.spare;
-      if (spare != kNoPage) {
-        s.spare = kNoPage;
-        DetachEmptySpanLocked(s, per_span);
-      }
-      s.lock.Unlock();
-      if (spare != kNoPage) DeleteSpans(cls, &spare, 1);
     }
   }
 }

@@ -162,10 +162,8 @@ struct alignas(kCacheLineSize) TransferShard {
 // its free objects sit on the span's own freelist (see SpanRecord in
 // RealThreadsAllocator), and the spans with a free object are kept in
 // kOccupancyLists lists by how many objects they have out, fullest first.
-// The shard also keeps its latest empty span back as a spare, so a class
-// whose use hovers at a span boundary does not trade the same span with
-// the page heap on every refill and flush. All fields behind `lock` (a
-// steal takes objects from the victim's spans while both locks are held).
+// All fields behind `lock` (a steal takes objects from the victim's spans
+// while both locks are held).
 struct alignas(kCacheLineSize) CflShard {
   static constexpr int kOccupancyLists = 8;  // the paper's L
 
@@ -174,9 +172,8 @@ struct alignas(kCacheLineSize) CflShard {
   // Real mode: first pages of the spans heading each occupancy list
   // (index 0: most objects out), or ~0u when the list is empty.
   uint32_t span_lists[kOccupancyLists];
-  uint32_t spare = ~0u;  // real mode: an empty span kept back, or ~0u
-  uint32_t count = 0;    // real mode: free objects over the owned spans
-  uint32_t spans = 0;    // real mode: spans owned now, the spare included
+  uint32_t count = 0;  // real mode: free objects over the owned spans
+  uint32_t spans = 0;  // real mode: spans owned now
 
   uint64_t refills = 0;         // batch requests served
   uint64_t refill_stalls = 0;   // home shard could not cover the batch
@@ -401,14 +398,13 @@ class RealThreadsAllocator {
   // exhaustion. Real mode only.
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
-  // Drains every transfer shard into its spans and hands every shard's
-  // spare span back (so no empty span stays out of the page heap), then
-  // madvises free page-heap ranges — freed large ranges and returned
-  // spans alike — back to the OS, whole ranges and largest first, until
-  // at least `bytes` are confirmed or none is left. Returns the bytes
-  // newly released as confirmed by the backing. Thread caches are not
-  // drained: flush them first (FlushThreadCache) to free what they pin.
-  // Virtual mode returns 0.
+  // Drains every transfer shard into its spans (so the spans it pinned go
+  // back to the page heap), then madvises free page-heap ranges — freed
+  // large ranges and returned spans alike — back to the OS, whole ranges
+  // and largest first, until at least `bytes` are confirmed or none is
+  // left. Returns the bytes newly released as confirmed by the backing.
+  // Thread caches are not drained: flush them first (FlushThreadCache) to
+  // free what they pin. Virtual mode returns 0.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
   BackendKind backend_kind() const {
@@ -556,13 +552,11 @@ class RealThreadsAllocator {
 
   // RefillFromCfl for real mode.
   int RefillFromSpans(int cls, int shard, uintptr_t* out, int want);
-  // Takes up to `want` objects from `s`'s spans, fullest span first (the
-  // spare last): a span's freelist, then its unused tail. Caller holds
-  // s.lock.
+  // Takes up to `want` objects from `s`'s spans, fullest span first: a
+  // span's freelist, then its unused tail. Caller holds s.lock.
   int TakeFromSpansLocked(CflShard& s, int cls, uintptr_t* out, int want);
-  // ReturnToCfl for real mode: one lock per owner shard in the batch. A
-  // span it empties becomes its shard's spare if the shard has none, and
-  // otherwise goes to the page heap once the locks are dropped.
+  // ReturnToCfl for real mode: one lock per owner shard in the batch. The
+  // spans it empties go to the page heap once the locks are dropped.
   void ReturnToSpans(int cls, const uintptr_t* objs, int count);
   // Takes a span of `cls` for `shard` from the page heap (best fit,
   // resident ranges first, then released ones, then the bump frontier),
@@ -573,15 +567,12 @@ class RealThreadsAllocator {
   // Hands empty spans of `cls` back to the page heap as resident free
   // ranges and clears their directory entries. Takes large_mu_.
   void DeleteSpans(int cls, const uint32_t* firsts, int n);
-  // Counts an empty span (already off the lists) out of `s`. Caller holds
-  // s.lock and hands the span to DeleteSpans after unlocking.
-  void DetachEmptySpanLocked(CflShard& s, uint32_t per_span);
   // Moves a span to the occupancy list its free count calls for, or off
   // the lists when nothing on it is free or nothing is out (an empty span
   // is about to leave the shard). Caller holds s.lock.
   void RelistSpanLocked(CflShard& s, uint32_t first, int objects_per_span);
-  // Pushes every transfer shard's objects back onto their spans, then
-  // hands every shard's spare back to the page heap.
+  // Pushes every transfer shard's objects back onto their spans; the
+  // spans this empties go back to the page heap.
   void DrainToPageHeap();
 
   // Real mode: the per-page directory entry for `addr`'s page.

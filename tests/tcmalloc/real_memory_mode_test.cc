@@ -752,7 +752,7 @@ TEST(RealMemorySpanTest, EmptySpanGoesBackToThePageHeap) {
 
   for (uintptr_t p : objs) alloc.Free(tc, p, size);
   alloc.FlushThreadCache(tc);
-  // A zero-byte release still drains the transfer shards and the spare.
+  // A zero-byte release still drains the transfer shards.
   EXPECT_EQ(alloc.ReleaseMemoryToSystem(0), 0u);
   std::vector<RealThreadsAllocator::LargeFreeRange> ranges =
       alloc.LargeFreeRanges();
@@ -880,8 +880,8 @@ TEST(RealMemorySpanTest, AnotherClassReusesSpansAfterExhaustion) {
     second.push_back(p);
     ASSERT_LE(second.size(), kSmallRoom / 1000);
   }
-  // Nearly all of the room: only what the transfer shard and the spare
-  // keep of the first class is missing.
+  // Nearly all of the room: only what the transfer shard keeps of the
+  // first class is missing.
   EXPECT_GT(second.size() * 1024, kSmallRoom * 3 / 4);
   EXPECT_EQ(alloc.Allocate(tc, 1000), 0u);
   for (uintptr_t p : second) alloc.FreeAddr(tc, p);

@@ -11,9 +11,11 @@ double-counted.
 
 With --footprint-falls the sidecar must also hold a "peak" snapshot and a
 "released" one taken after wscmalloc_release_memory (bench/preload/
-bench_frag writes both), and the released footprint_bytes must be below
-the peak's: memory the program freed has to leave the footprint once it
-is released.
+bench_frag writes both), and the "released" line must carry
+freed_large_bytes, the bytes of the large blocks freed in between. The
+released footprint_bytes must be below the peak's minus those bytes: the
+freed large blocks alone do not pass, so the release must also have
+returned small spans whose objects all died.
 
 Usage: check_preload_conservation.py [--footprint-falls] <stats.json>
                                      [min_ops]
@@ -26,7 +28,10 @@ import sys
 
 
 def parse(path):
-    """Returns {phase: stats}: the first "pre", the last of every other."""
+    """Returns {phase: stats}: the first "pre", the last of every other.
+
+    A line's own members besides "phase" and "stats" (say
+    freed_large_bytes) are merged into its stats."""
     phases = {}
     with open(path) as f:
         for line in f:
@@ -36,7 +41,10 @@ def parse(path):
             rec = json.loads(line)
             if rec["phase"] == "pre" and "pre" in phases:
                 continue
-            phases[rec["phase"]] = rec["stats"]
+            stats = rec["stats"]
+            stats.update((k, v) for k, v in rec.items()
+                         if k not in ("phase", "stats"))
+            phases[rec["phase"]] = stats
     if "pre" not in phases or "post" not in phases:
         sys.exit(f"FAIL: {path} lacks pre/post snapshots")
     return phases
@@ -60,12 +68,16 @@ def check(pre, post, min_ops):
 def check_footprint_falls(phases):
     if "peak" not in phases or "released" not in phases:
         sys.exit("FAIL: --footprint-falls needs peak and released snapshots")
+    if "freed_large_bytes" not in phases["released"]:
+        sys.exit("FAIL: the released snapshot lacks freed_large_bytes")
     peak = phases["peak"]["footprint_bytes"]
     released = phases["released"]["footprint_bytes"]
-    if released >= peak:
+    freed_large = phases["released"]["freed_large_bytes"]
+    if released >= peak - freed_large:
         sys.exit(f"FAIL: footprint_bytes {released} after the release is "
-                 f"not below the peak {peak}")
-    return peak, released
+                 f"not below the peak {peak} minus the {freed_large} "
+                 f"freed large bytes: no small span was returned")
+    return peak, released, freed_large
 
 
 def self_test():
@@ -84,13 +96,22 @@ def self_test():
             continue
         raise AssertionError(f"self-test: {why} not caught")
 
-    ok = {"peak": {"footprint_bytes": 1 << 30},
-          "released": {"footprint_bytes": 1 << 20}}
-    assert check_footprint_falls(ok) == (1 << 30, 1 << 20)
+    peak = {"footprint_bytes": 1 << 30}
+    ok = {"peak": peak,
+          "released": {"footprint_bytes": 1 << 20,
+                       "freed_large_bytes": 1 << 29}}
+    assert check_footprint_falls(ok) == (1 << 30, 1 << 20, 1 << 29)
     for bad, why in [
-        ({"peak": {"footprint_bytes": 1 << 30},
-          "released": {"footprint_bytes": 1 << 30}}, "footprint kept"),
-        ({"peak": {"footprint_bytes": 1 << 30}}, "no released snapshot"),
+        ({"peak": peak,
+          "released": {"footprint_bytes": 1 << 30, "freed_large_bytes": 0}},
+         "footprint kept"),
+        ({"peak": peak,
+          "released": {"footprint_bytes": 1 << 29,
+                       "freed_large_bytes": 1 << 29}},
+         "only the large blocks left"),
+        ({"peak": peak, "released": {"footprint_bytes": 1 << 20}},
+         "no freed_large_bytes"),
+        ({"peak": peak}, "no released snapshot"),
     ]:
         try:
             check_footprint_falls(bad)
@@ -116,9 +137,11 @@ def main():
     print(f"check_preload_conservation: OK ({ops} allocations == frees, "
           f"live_bytes stable at {phases['post']['live_bytes']})")
     if footprint_falls:
-        peak, released = check_footprint_falls(phases)
+        peak, released, freed_large = check_footprint_falls(phases)
         print(f"check_preload_conservation: OK (footprint_bytes {peak} at "
-              f"the peak -> {released} after the release)")
+              f"the peak -> {released} after the release; "
+              f"{peak - freed_large - released} bytes beyond the "
+              f"{freed_large} freed large bytes)")
 
 
 if __name__ == "__main__":
