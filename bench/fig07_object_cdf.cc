@@ -19,10 +19,9 @@ int main(int argc, char** argv) {
   uint64_t sim_requests = 0;
   telemetry::Snapshot merged_telemetry;
 
-  // Aggregate allocation-size histograms across the production profiles,
+  // Aggregate allocation-size counts across the production profiles,
   // weighted by their allocation volume (one machine run each).
-  LogHistogram count_hist;
-  LogHistogram bytes_hist;
+  tcmalloc::AllocSizeCounts sizes;
   uint64_t seed = 700;
   std::vector<workload::WorkloadSpec> specs = workload::TopFiveProfiles();
   for (const auto& s : workload::BenchmarkProfiles()) specs.push_back(s);
@@ -32,34 +31,34 @@ int main(int argc, char** argv) {
         tcmalloc::AllocatorConfig(), seed++);
     machine.Run(bench::BenchDuration(Seconds(10)),
                 bench::BenchMaxRequests(50000));
-    count_hist.Merge(machine.allocator(0).alloc_count_hist());
-    bytes_hist.Merge(machine.allocator(0).alloc_bytes_hist());
+    sizes.Merge(machine.allocator(0).alloc_size_counts());
     sim_requests += machine.results()[0].driver.requests;
     merged_telemetry.MergeFrom(machine.results()[0].telemetry);
   }
 
   std::printf("object-size CDF (upper bound -> cumulative %%):\n");
   TablePrinter table({"size <=", "% of objects", "% of memory"});
-  for (double bound : {32.0, 256.0, 1024.0, 8192.0, 65536.0, 262144.0,
-                       1048576.0, 33554432.0}) {
-    table.AddRow({FormatBytes(bound),
-                  FormatDouble(100.0 * count_hist.FractionBelow(bound), 1),
-                  FormatDouble(100.0 * bytes_hist.FractionBelow(bound), 1)});
+  for (size_t bound : {size_t{32}, size_t{256}, size_t{1} << 10,
+                       size_t{8} << 10, size_t{64} << 10, size_t{256} << 10,
+                       size_t{1} << 20, size_t{32} << 20}) {
+    table.AddRow({FormatBytes(static_cast<double>(bound)),
+                  FormatDouble(100.0 * sizes.CountFractionBelow(bound), 1),
+                  FormatDouble(100.0 * sizes.BytesFractionBelow(bound), 1)});
   }
   table.Print();
 
   bench::PaperVsMeasured(
       "objects < 1 KiB, % of objects", "98%",
-      FormatDouble(100.0 * count_hist.FractionBelow(1024), 1) + "%");
+      FormatDouble(100.0 * sizes.CountFractionBelow(1024), 1) + "%");
   bench::PaperVsMeasured(
       "objects < 1 KiB, % of memory", "28%",
-      FormatDouble(100.0 * bytes_hist.FractionBelow(1024), 1) + "%");
+      FormatDouble(100.0 * sizes.BytesFractionBelow(1024), 1) + "%");
   bench::PaperVsMeasured(
       "objects > 8 KiB, % of memory", "~50%",
-      FormatDouble(100.0 * bytes_hist.FractionAtLeast(8192), 1) + "%");
+      FormatDouble(100.0 * (1.0 - sizes.BytesFractionBelow(8192)), 1) + "%");
   bench::PaperVsMeasured(
       "objects > 256 KiB (bypass caches), % of memory", "22%",
-      FormatDouble(100.0 * bytes_hist.FractionAtLeast(262144), 1) + "%");
+      FormatDouble(100.0 * (1.0 - sizes.BytesFractionBelow(262144)), 1) + "%");
   std::printf(
       "\nshape check: small objects dominate counts while large objects\n"
       "dominate bytes — the reason TCMalloc biases cache capacity towards\n"

@@ -75,11 +75,11 @@ int main() {
   std::printf("LLC load MPKI:        %.2f\n", r.LlcMpki());
 
   // Object-size CDF (Fig. 7 style).
-  const LogHistogram& count_hist = machine.allocator(0).alloc_count_hist();
-  const LogHistogram& bytes_hist = machine.allocator(0).alloc_bytes_hist();
+  const tcmalloc::AllocSizeCounts& sizes =
+      machine.allocator(0).alloc_size_counts();
   std::printf("\nobject sizes: <1KiB = %.1f%% of objects, %.1f%% of bytes\n",
-              100.0 * count_hist.FractionBelow(1024),
-              100.0 * bytes_hist.FractionBelow(1024));
+              100.0 * sizes.CountFractionBelow(1024),
+              100.0 * sizes.BytesFractionBelow(1024));
 
   // --- Decide which optimizations pay off for this workload ---
   PrintBanner("A/B: which allocator features help this app?");

@@ -1,6 +1,7 @@
 #include "tcmalloc/allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -25,7 +26,39 @@ const AllocatorConfig& ValidatedOrDie(const AllocatorConfig& config) {
   return config;
 }
 
+// Share of `buckets`' total in the buckets below `threshold`, a power of
+// two: LogHistogram::FractionBelow on the same buckets, summed the same way.
+double FractionBelowPow2(
+    const uint64_t (&buckets)[AllocSizeCounts::kNumBuckets],
+    size_t threshold) {
+  WSC_CHECK(threshold >= 2 && std::has_single_bit(threshold));
+  int edge = std::countr_zero(threshold);
+  double below = 0.0;
+  double total = 0.0;
+  for (int b = 0; b < AllocSizeCounts::kNumBuckets; ++b) {
+    double w = static_cast<double>(buckets[b]);
+    total += w;
+    if (b < edge) below += w;
+  }
+  return total > 0.0 ? below / total : 0.0;
+}
+
 }  // namespace
+
+void AllocSizeCounts::Merge(const AllocSizeCounts& other) {
+  for (int b = 0; b < kNumBuckets; ++b) {
+    count[b] += other.count[b];
+    bytes[b] += other.bytes[b];
+  }
+}
+
+double AllocSizeCounts::CountFractionBelow(size_t threshold) const {
+  return FractionBelowPow2(count, threshold);
+}
+
+double AllocSizeCounts::BytesFractionBelow(size_t threshold) const {
+  return FractionBelowPow2(bytes, threshold);
+}
 
 namespace {
 
@@ -276,9 +309,7 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   // Success-only accounting: failed growth attempts return above, so
   // num_allocations() keeps counting exactly the allocations that exist.
   alloc_ops_->Add();
-  alloc_count_hist_.Add(static_cast<double>(size), 1.0);
-  alloc_bytes_hist_.Add(static_cast<double>(size),
-                        static_cast<double>(size));
+  alloc_size_counts_.Add(size);
 
   if (callsite != 0) {
     CallsiteStats& cs = callsites_[callsite];
@@ -289,6 +320,9 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   }
 
   if (sampler_.RecordAllocation(addr, size, allocated_bytes, now, callsite)) {
+    // Rare (one allocation per sample interval): mark the owning span, so
+    // Free asks the sampler only about spans that hold a live sample.
+    ++pagemap_.LookupAddr(addr)->sampled_objects;
     cycles_.sampled_ns += config_.costs.sampled_alloc_ns;
     last_op_ns_ += config_.costs.sampled_alloc_ns;
     if (trace_) {
@@ -409,14 +443,18 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
   free_ops_->Add();
   last_op_ns_ = config_.costs.other_ns;
   cycles_.other_ns += config_.costs.other_ns;
-  Sampler::FreeRecord sampled = sampler_.RecordFree(addr, now);
-  if (sampled.sampled && trace_) {
-    trace_->Emit(trace::EventType::kSampledFree, vcpu, -1, -1, -1,
-                 sampled.allocated, sampled.callsite);
-  }
-
   Span* span = pagemap_.LookupAddr(addr);
   WSC_CHECK(span != nullptr);  // wild free otherwise
+  if (span->sampled_objects > 0) {
+    Sampler::FreeRecord sampled = sampler_.RecordFree(addr, now);
+    if (sampled.sampled) {
+      --span->sampled_objects;
+      if (trace_) {
+        trace_->Emit(trace::EventType::kSampledFree, vcpu, -1, -1, -1,
+                     sampled.allocated, sampled.callsite);
+      }
+    }
+  }
   if (span->is_large()) {
     WSC_CHECK_EQ(span->start_addr(), addr);
     size_t bytes = span->span_bytes();

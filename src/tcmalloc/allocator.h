@@ -25,6 +25,7 @@
 #ifndef WSC_TCMALLOC_ALLOCATOR_H_
 #define WSC_TCMALLOC_ALLOCATOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/histogram.h"
 #include "common/sim_clock.h"
 #include "tcmalloc/background.h"
 #include "tcmalloc/central_free_list.h"
@@ -104,6 +104,29 @@ struct HeapStats {
                                InternalFragmentation()) /
            static_cast<double>(live_bytes);
   }
+};
+
+// Requested-size distribution of every successful allocation (Fig. 7),
+// kept as two integer adds per allocation. Bucket b holds the requests of
+// [2^b, 2^(b+1)) bytes: how many there were and their requested bytes.
+// These are LogHistogram's buckets, so at a power-of-two threshold the
+// fractions below are exactly LogHistogram::FractionBelow's; no other
+// threshold can be answered.
+struct AllocSizeCounts {
+  static constexpr int kNumBuckets = 64;
+  uint64_t count[kNumBuckets] = {};
+  uint64_t bytes[kNumBuckets] = {};
+
+  void Add(size_t size) {
+    int b = std::bit_width(size) - 1;  // size > 0
+    ++count[b];
+    bytes[b] += size;
+  }
+  void Merge(const AllocSizeCounts& other);
+  // Share of allocations, by count and by requested bytes, smaller than
+  // `threshold`, which must be a power of two >= 2. 0 when empty.
+  double CountFractionBelow(size_t threshold) const;
+  double BytesFractionBelow(size_t threshold) const;
 };
 
 // One allocator instance == one simulated process.
@@ -222,10 +245,11 @@ class Allocator {
   // at its footprint-sampling boundaries).
   void RecordHeapSample(const HeapStats& heap);
 
-  // Object-size distributions across all allocations (Fig. 7): by count
-  // and by bytes.
-  const LogHistogram& alloc_count_hist() const { return alloc_count_hist_; }
-  const LogHistogram& alloc_bytes_hist() const { return alloc_bytes_hist_; }
+  // Object-size distribution across all allocations (Fig. 7): by count
+  // and by requested bytes.
+  const AllocSizeCounts& alloc_size_counts() const {
+    return alloc_size_counts_;
+  }
 
   // Exact process footprint charged against memory limits: live bytes plus
   // every tier's cached/free bytes (HeapStats::HeapBytes without the
@@ -402,8 +426,7 @@ class Allocator {
 
   double last_op_ns_ = 0;
 
-  LogHistogram alloc_count_hist_;
-  LogHistogram alloc_bytes_hist_;
+  AllocSizeCounts alloc_size_counts_;
 
   SimTime last_resize_ = 0;
   SimTime last_plunder_ = 0;

@@ -47,14 +47,6 @@ double MallocExtension::GetHugepageCoverage() const {
   return allocator_->HugepageCoverage();
 }
 
-const LogHistogram& MallocExtension::GetAllocCountHistogram() const {
-  return allocator_->alloc_count_hist();
-}
-
-const LogHistogram& MallocExtension::GetAllocBytesHistogram() const {
-  return allocator_->alloc_bytes_hist();
-}
-
 BackendKind MallocExtension::GetBackendKind() const {
   return allocator_->backend_kind();
 }

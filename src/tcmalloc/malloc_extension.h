@@ -42,8 +42,6 @@ class MallocExtension {
   PageHeapStats GetPageHeapStats() const;
   SystemStats GetSystemStats() const;
   double GetHugepageCoverage() const;
-  const LogHistogram& GetAllocCountHistogram() const;
-  const LogHistogram& GetAllocBytesHistogram() const;
 
   // ---- Backend ----
   // Which memory backing the allocator runs on (production TCMalloc's

@@ -80,6 +80,11 @@ class Span {
   // free list (-1 when not listed). Maintained by CentralFreeList.
   int list_index = -1;
 
+  // Live sampled objects in this span. Allocator::Free consults the
+  // sampler only while this is nonzero, so unsampled frees pay no lookup
+  // there (TCMalloc likewise identifies a sampled object from its span).
+  int sampled_objects = 0;
+
  private:
   int IndexOf(uintptr_t addr) const;
 

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/rng.h"
 
 namespace wsc::tcmalloc {
@@ -208,15 +211,115 @@ TEST(Allocator, MaintainRunsBackgroundTasks) {
   SUCCEED();
 }
 
-TEST(Allocator, AllocationHistogramsTrackSizes) {
+TEST(Allocator, AllocationSizeCountsTrackSizes) {
   Allocator alloc(TestConfig());
   alloc.Allocate(100, 0, 0);
   alloc.Allocate(100, 0, 0);
   alloc.Allocate(1 << 20, 0, 0);
-  EXPECT_EQ(alloc.alloc_count_hist().count(), 3u);
+  const AllocSizeCounts& sizes = alloc.alloc_size_counts();
+  EXPECT_EQ(std::accumulate(std::begin(sizes.count), std::end(sizes.count),
+                            uint64_t{0}),
+            3u);
   // By count, small objects dominate; by bytes, the 1 MiB one does.
-  EXPECT_GT(alloc.alloc_count_hist().FractionBelow(1024), 0.6);
-  EXPECT_GT(alloc.alloc_bytes_hist().FractionAtLeast(1 << 19), 0.9);
+  EXPECT_GT(sizes.CountFractionBelow(1024), 0.6);
+  EXPECT_GT(1.0 - sizes.BytesFractionBelow(1 << 19), 0.9);
+}
+
+TEST(Allocator, AllocationSizeCountsMatchLogHistogramAtPowersOfTwo) {
+  // The integer buckets must answer Fig. 7's power-of-two thresholds
+  // exactly as the LogHistogram they replace: same buckets, same sums.
+  Allocator alloc(TestConfig());
+  LogHistogram count_hist;
+  LogHistogram bytes_hist;
+  std::vector<size_t> sizes = {1, size_t{300} << 10, size_t{3} << 20};
+  for (int k = 1; k <= 22; ++k) {
+    sizes.push_back((size_t{1} << k) - 1);
+    sizes.push_back(size_t{1} << k);
+  }
+  Rng rng(1616);
+  for (int i = 0; i < 5000; ++i) {
+    sizes.push_back(1 + rng.UniformInt(rng.Bernoulli(0.02) ? 2000000 : 4096));
+  }
+  for (size_t size : sizes) {
+    uintptr_t p = alloc.Allocate(size, static_cast<int>(rng.UniformInt(4)), 0);
+    ASSERT_NE(p, 0u);
+    alloc.Free(p, static_cast<int>(rng.UniformInt(4)), 0);
+    count_hist.Add(static_cast<double>(size), 1.0);
+    bytes_hist.Add(static_cast<double>(size), static_cast<double>(size));
+  }
+  const AllocSizeCounts& counts = alloc.alloc_size_counts();
+  EXPECT_EQ(std::accumulate(std::begin(counts.count), std::end(counts.count),
+                            uint64_t{0}),
+            count_hist.count());
+  for (int k = 1; k <= 40; ++k) {
+    size_t threshold = size_t{1} << k;
+    EXPECT_EQ(counts.CountFractionBelow(threshold),
+              count_hist.FractionBelow(static_cast<double>(threshold)))
+        << "below 2^" << k;
+    EXPECT_EQ(counts.BytesFractionBelow(threshold),
+              bytes_hist.FractionBelow(static_cast<double>(threshold)))
+        << "below 2^" << k;
+  }
+}
+
+TEST(Allocator, SampledCountPerSpanGatesSamplerOnFree) {
+  // A small sample interval over small and large objects, freed partly on
+  // other vCPUs: every sample ends up either live or as a recorded
+  // lifetime, each span counts exactly its live samples, and a full drain
+  // returns every count to zero.
+  Allocator alloc(TestBuilder().WithSampleIntervalBytes(4096).Build());
+  const Sampler& sampler = alloc.sampler();
+  Rng rng(4096);
+  std::vector<uintptr_t> live;
+  std::vector<uintptr_t> ever;
+  auto check_counts = [&] {
+    uint64_t lifetimes = sampler.profile().all_lifetimes.count();
+    EXPECT_EQ(sampler.samples_taken(),
+              lifetimes + sampler.live_sample_count());
+    std::map<const Span*, int> spans;
+    for (uintptr_t p : live) {
+      const Span* span = alloc.pagemap().LookupAddr(p);
+      ASSERT_NE(span, nullptr);
+      spans[span] = span->sampled_objects;
+    }
+    uint64_t counted = 0;
+    for (const auto& [span, n] : spans) {
+      ASSERT_GE(n, 0);
+      counted += static_cast<uint64_t>(n);
+    }
+    EXPECT_EQ(counted, sampler.live_sample_count());
+  };
+  for (int i = 0; i < 20000; ++i) {
+    // Frees run on a random vCPU, so most are cross-vCPU frees.
+    int vcpu = static_cast<int>(rng.UniformInt(4));
+    if (!live.empty() && rng.Bernoulli(0.45)) {
+      size_t k = rng.UniformInt(live.size());
+      alloc.Free(live[k], vcpu, i);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      size_t size = 1 + rng.UniformInt(rng.Bernoulli(0.03) ? 600000 : 3000);
+      uintptr_t p = alloc.Allocate(size, vcpu, i);
+      ASSERT_NE(p, 0u);
+      live.push_back(p);
+      ever.push_back(p);
+    }
+    if (i % 5000 == 4999) check_counts();
+  }
+  EXPECT_GT(sampler.samples_taken(), 100u);
+  EXPECT_GT(sampler.live_sample_count(), 0u);
+  for (uintptr_t p : live) {
+    alloc.Free(p, static_cast<int>(rng.UniformInt(4)), 0);
+  }
+  live.clear();
+  EXPECT_EQ(sampler.live_sample_count(), 0u);
+  EXPECT_EQ(sampler.samples_taken(), sampler.profile().all_lifetimes.count());
+  for (uintptr_t p : ever) {
+    const Span* span = alloc.pagemap().LookupAddr(p);
+    if (span != nullptr) {
+      EXPECT_EQ(span->sampled_objects, 0);
+    }
+  }
 }
 
 TEST(Allocator, SampledAllocationsChargedSampledCycles) {
